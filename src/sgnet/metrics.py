@@ -227,19 +227,10 @@ def fem_evaluator(
         grads = np.empty((m, grid.points.shape[0], grid.dim))
         for i in range(m):
             y = samples[i]
+            nodal = fem_pathwise(mesh, lambda x: sample_pathwise(model, y, x))
             if isinstance(mesh, Mesh1D):
-                nodal = fem_pathwise(
-                    mesh,
-                    lambda x: sample_pathwise(model, y, x.reshape(-1, 1))[0],
-                    lambda x: sample_pathwise(model, y, x.reshape(-1, 1))[1],
-                )
                 values[i], grads[i, :, 0] = _interp_1d(mesh, nodal, grid.points[:, 0])
             else:
-                nodal = fem_pathwise(
-                    mesh,
-                    lambda x: sample_pathwise(model, y, x)[0],
-                    lambda x: sample_pathwise(model, y, x)[1],
-                )
                 values[i], grads[i] = _interp_2d(mesh, nodal, grid.points)
         return values, grads
 

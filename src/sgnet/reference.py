@@ -3,21 +3,20 @@
 The pathwise solvers generate ground truth one realization at a time: linear
 elements on a uniform mesh of (0, 1), bilinear elements on a uniform grid of
 (0, 1)^2.  The coupled solver discretizes all spectral coefficients at once on
-a 1-D mesh and solves the resulting block system, providing an oracle that
+a 1-D mesh and solves the resulting banded block system, providing an oracle that
 minimizes the same energy the Ritz-trained network minimizes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import solve_banded
-from scipy.sparse.linalg import LinearOperator, cg
+from scipy.linalg import LinAlgError, solve_banded, solveh_banded
 
-from .fields import FieldModel, SpectralField, draw_samples, sample_pathwise
+from .fields import SpectralField
 from .spectral import GalerkinTensor, PolyFamily, gauss_rule
 
 __all__ = [
@@ -25,22 +24,16 @@ __all__ = [
     "Mesh2D",
     "CoupledSolution",
     "FieldPositivityError",
-    "SolverConvergenceError",
     "exp1_exact",
     "exp1_exact_grad",
     "fem_pathwise",
     "assemble_coupled_system",
     "sga_fem_coupled",
-    "mc_pathwise_reference",
 ]
 
 
 class FieldPositivityError(ValueError):
-    """The diffusion coefficient was not strictly positive at a quadrature point."""
-
-
-class SolverConvergenceError(RuntimeError):
-    """An iterative solve did not reach the requested tolerance."""
+    """The diffusion coefficient, or the operator assembled from it, is not positive."""
 
 
 def exp1_exact(xi: float, x) -> np.ndarray:
@@ -121,7 +114,27 @@ def _q1_reference() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     return pts, shapes, grads, weights
 
 
-def _fem_1d(mesh: Mesh1D, a_fn: Callable, f_fn: Callable) -> np.ndarray:
+def _solve_spd_banded(matrix: sp.csr_matrix, rhs: np.ndarray) -> np.ndarray:
+    """Banded Cholesky solve of a symmetric positive definite sparse system.
+
+    The half-bandwidth is read off the stored upper triangle, so no entry is
+    dropped; a matrix that is not positive definite raises
+    ``FieldPositivityError``.
+    """
+    upper = sp.triu(matrix, format="coo")
+    upper.sum_duplicates()
+    offsets = upper.col - upper.row
+    bandwidth = int(np.max(offsets, initial=0))
+    banded = np.zeros((bandwidth + 1, matrix.shape[0]))
+    banded[bandwidth - offsets, upper.col] = upper.data
+    try:
+        return solveh_banded(banded, rhs, overwrite_ab=True)
+    except LinAlgError as exc:
+        message = f"the discrete operator is not positive definite: {exc}"
+        raise FieldPositivityError(message) from exc
+
+
+def _fem_1d(mesh: Mesh1D, field_fn: Callable) -> np.ndarray:
     """Linear-element solve of -(a u')' = f with zero boundary values."""
     h = mesh.h
     rule = gauss_rule(PolyFamily.LEGENDRE, 2)
@@ -129,10 +142,9 @@ def _fem_1d(mesh: Mesh1D, a_fn: Callable, f_fn: Callable) -> np.ndarray:
     left = mesh.nodes[:-1]
     qp = left[:, None] + (0.5 * rule.nodes + 0.5)[None, :] * h
     qw = rule.weights[None, :] * h
-    a_q = np.asarray(a_fn(qp.ravel()), dtype=float).reshape(qp.shape)
+    a_q, f_q = (np.asarray(v, dtype=float).reshape(qp.shape) for v in field_fn(qp.reshape(-1, 1)))
     if np.any(a_q <= 0.0):
         raise FieldPositivityError("diffusion coefficient is not positive on the mesh")
-    f_q = np.asarray(f_fn(qp.ravel()), dtype=float).reshape(qp.shape)
     a_int = (a_q * qw).sum(axis=1)  # integral of a over each element
     stiff = a_int / (h * h)
     # Hat-function values at the element quadrature points.
@@ -153,7 +165,7 @@ def _fem_1d(mesh: Mesh1D, a_fn: Callable, f_fn: Callable) -> np.ndarray:
     return solution
 
 
-def _fem_2d(mesh: Mesh2D, a_fn: Callable, f_fn: Callable, tol: float = 1e-12) -> np.ndarray:
+def _fem_2d(mesh: Mesh2D, field_fn: Callable) -> np.ndarray:
     """Bilinear-element solve on the unit square; returns nodal values, shape (n+1, n+1)."""
     n = mesh.n
     h = mesh.h
@@ -163,10 +175,9 @@ def _fem_2d(mesh: Mesh2D, a_fn: Callable, f_fn: Callable, tol: float = 1e-12) ->
     n_elem = corners.shape[0]
     # Physical quadrature points per element, flattened to (n_elem * 4, 2).
     qp = corners[:, None, :] + pts[None, :, :] * h
-    a_q = np.asarray(a_fn(qp.reshape(-1, 2)), dtype=float).reshape(n_elem, 4)
+    a_q, f_q = (np.asarray(v, dtype=float).reshape(n_elem, 4) for v in field_fn(qp.reshape(-1, 2)))
     if np.any(a_q <= 0.0):
         raise FieldPositivityError("diffusion coefficient is not positive on the mesh")
-    f_q = np.asarray(f_fn(qp.reshape(-1, 2)), dtype=float).reshape(n_elem, 4)
 
     # Local stiffness: the h^2 Jacobian cancels the 1/h^2 of physical gradients.
     k_ref = np.einsum("q,qid,qjd->qij", weights, grads, grads)
@@ -188,21 +199,20 @@ def _fem_2d(mesh: Mesh2D, a_fn: Callable, f_fn: Callable, tol: float = 1e-12) ->
     idx = np.arange(stride**2).reshape(stride, stride)
     interior = idx[1:-1, 1:-1].ravel()
     k_ii = matrix[interior][:, interior]
-    diag = k_ii.diagonal()
-    precond = LinearOperator(k_ii.shape, matvec=lambda v: v / diag)
-    u_int, info = cg(k_ii, rhs[interior], rtol=tol, atol=0.0, M=precond, maxiter=10 * interior.size)
-    if info != 0:
-        raise SolverConvergenceError(f"conjugate gradient stopped with info={info}")
     solution = np.zeros(stride**2)
-    solution[interior] = u_int
+    solution[interior] = _solve_spd_banded(k_ii, rhs[interior])
     return solution.reshape(stride, stride)
 
 
-def fem_pathwise(mesh: Mesh1D | Mesh2D, a_fn: Callable, f_fn: Callable) -> np.ndarray:
-    """Galerkin solution of -div(a grad u) = f with homogeneous Dirichlet data."""
+def fem_pathwise(mesh: Mesh1D | Mesh2D, field_fn: Callable) -> np.ndarray:
+    """Galerkin solution of -div(a grad u) = f with homogeneous Dirichlet data.
+
+    ``field_fn(x)`` maps points of shape (n, d) to the values ``(a, f)``, each
+    of shape (n,), as ``sample_pathwise`` returns them for one realization.
+    """
     if isinstance(mesh, Mesh1D):
-        return _fem_1d(mesh, a_fn, f_fn)
-    return _fem_2d(mesh, a_fn, f_fn)
+        return _fem_1d(mesh, field_fn)
+    return _fem_2d(mesh, field_fn)
 
 
 # -- coupled stochastic Galerkin FEM ------------------------------------------------
@@ -227,7 +237,7 @@ def assemble_coupled_system(
     """Block stiffness matrix and load vector of the coupled weak form.
 
     Degrees of freedom are node-major: dof = (node - 1) * (M + 1) + coefficient,
-    so the per-node coupling blocks are contiguous for block-Jacobi use.
+    so the matrix is block tridiagonal with half-bandwidth 2 (M + 1) - 1.
     """
     size = field_.size
     h = mesh.h
@@ -239,7 +249,9 @@ def assemble_coupled_system(
     a_vals = field_.coeff_values(qp.reshape(-1, 1)).reshape(mesh.n_elem, rule.nodes.size, size)
     f_vals = field_.forcing_values(qp.reshape(-1, 1)).reshape(mesh.n_elem, rule.nodes.size, size)
     # Element integrals of A_ij and of f_k against the two hat functions.
-    a_blocks = np.einsum("eqi,ijk,eq->ejk", a_vals, tensor.values, qw)
+    a_blocks = (np.einsum("eqi,eq->ei", a_vals, qw) @ tensor.values.reshape(size, -1)).reshape(
+        -1, size, size
+    )
     t = (qp - left[:, None]) / h
     f_left = np.einsum("eqk,eq,eq->ek", f_vals, 1.0 - t, qw)
     f_right = np.einsum("eqk,eq,eq->ek", f_vals, t, qw)
@@ -274,50 +286,12 @@ def assemble_coupled_system(
     return matrix, load
 
 
-def sga_fem_coupled(
-    mesh: Mesh1D, field_: SpectralField, tensor: GalerkinTensor, tol: float = 1e-12
-) -> CoupledSolution:
-    """Solve the coupled weak form by CG with a per-node block-Jacobi preconditioner."""
+def sga_fem_coupled(mesh: Mesh1D, field_: SpectralField, tensor: GalerkinTensor) -> CoupledSolution:
+    """Solve the coupled weak form directly by banded Cholesky factorization."""
     size = field_.size
     matrix, load = assemble_coupled_system(mesh, field_, tensor)
-    n_int = mesh.n_elem - 1
-    diag_blocks = np.empty((n_int, size, size))
-    for node in range(n_int):
-        offset = node * size
-        diag_blocks[node] = matrix[offset : offset + size, offset : offset + size].toarray()
-    inv_blocks = np.linalg.inv(diag_blocks)
-
-    def apply_precond(v: np.ndarray) -> np.ndarray:
-        return np.einsum("nij,nj->ni", inv_blocks, v.reshape(n_int, size)).ravel()
-
-    precond = LinearOperator(matrix.shape, matvec=apply_precond)
-    u, info = cg(matrix, load, rtol=tol, atol=0.0, M=precond, maxiter=10 * load.size)
-    if info != 0:
-        raise SolverConvergenceError(
-            f"coupled solve did not converge (info={info}); the truncated coefficient "
-            "may not be positive definite"
-        )
+    u = _solve_spd_banded(matrix, load)
     energy = 0.5 * float(u @ (matrix @ u)) - float(load @ u)
     coeffs = np.zeros((size, mesh.n_elem + 1))
-    coeffs[:, 1:-1] = u.reshape(n_int, size).T
+    coeffs[:, 1:-1] = u.reshape(mesh.n_elem - 1, size).T
     return CoupledSolution(mesh, coeffs, energy)
-
-
-def mc_pathwise_reference(
-    model: FieldModel,
-    mesh: Mesh1D | Mesh2D,
-    n_mc: int,
-    seed: int,
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Stream of (sample, nodal FEM solution) pairs over i.i.d. realizations."""
-    rng = np.random.default_rng(seed)
-    samples = draw_samples(model.family, model.n_vars, n_mc, rng)
-    for m in range(n_mc):
-        y = samples[m]
-        if isinstance(mesh, Mesh1D):
-            a_fn = lambda x: sample_pathwise(model, y, x.reshape(-1, 1))[0]
-            f_fn = lambda x: sample_pathwise(model, y, x.reshape(-1, 1))[1]
-        else:
-            a_fn = lambda x: sample_pathwise(model, y, x)[0]
-            f_fn = lambda x: sample_pathwise(model, y, x)[1]
-        yield y, fem_pathwise(mesh, a_fn, f_fn)

@@ -79,7 +79,6 @@ def strong_risk(
     net: MultiBranchNet,
     field_: SpectralField,
     tensor: GalerkinTensor,
-    domain_volume: float = 1.0,
     with_grad: bool = True,
 ):
     """Mean squared projected strong residual over the batch, with parameter gradient."""
@@ -93,11 +92,11 @@ def strong_risk(
     b_tensor = assemble_B(tensor, field_.coeff_grads(x))
     forcing = field_.forcing_values(x)
     residual = strong_residual_matrix(a_matrix, b_tensor, forcing, record.laplacian, record.grad)
-    risk = domain_volume * float(np.mean(residual * residual) )
+    risk = float(np.mean(residual * residual))
     if not with_grad:
         return risk, None
     # d risk / d r_nk, then chain through the linear residual assembly.
-    r_bar = residual * (2.0 * domain_volume / (n * size))
+    r_bar = residual * (2.0 / (n * size))
     d_lap = np.einsum("njk,nk->nj", a_matrix, r_bar)
     d_grad = np.einsum("njkd,nk->njd", b_tensor, r_bar)
     return risk, net.param_grad(record, d_grad=d_grad, d_lap=d_lap)
@@ -119,7 +118,6 @@ def ritz_risk(
     net: MultiBranchNet,
     field_: SpectralField,
     tensor: GalerkinTensor,
-    domain_volume: float = 1.0,
     with_grad: bool = True,
 ):
     """Monte Carlo Ritz energy over the batch, with parameter gradient."""
@@ -131,10 +129,10 @@ def ritz_risk(
     record = net.evaluate(x, order=1)
     a_matrix = assemble_A(tensor, field_.coeff_values(x))
     forcing = field_.forcing_values(x)
-    risk = domain_volume * float(np.mean(ritz_density(a_matrix, forcing, record.value, record.grad)))
+    risk = float(np.mean(ritz_density(a_matrix, forcing, record.value, record.grad)))
     if not with_grad:
         return risk, None
-    scale = domain_volume / n
+    scale = 1.0 / n
     d_grad = scale * np.einsum("nij,njd->nid", a_matrix, record.grad)
     d_value = -scale * forcing
     return risk, net.param_grad(record, d_value=d_value, d_grad=d_grad)
@@ -285,7 +283,6 @@ class TrainConfig:
     validation_points: int | None = None
     seed_sobol: int = 1
     seed_validation: int = 0
-    domain_volume: float = 1.0
     checkpoint_interval: int | None = None
 
     def __post_init__(self) -> None:
@@ -389,7 +386,7 @@ def train(
         for _ in range(config.steps_per_epoch):
             lr = config.lr0 * config.lr_decay ** (state.t // config.lr_decay_steps)
             x = sobol_batch(stream, config.batch_size, lo, hi)
-            risk, grad = loss_fn(x, net, field_, tensor, config.domain_volume)
+            risk, grad = loss_fn(x, net, field_, tensor)
             if not np.isfinite(risk):
                 raise TrainingDivergedError(
                     f"non-finite {loss_kind} risk at epoch {epoch}, step {state.t}"

@@ -82,6 +82,10 @@ class TestConfigParsing:
         path.write_text("experiment: exp3\nquad_nodes: 40\n")
         with pytest.raises(ConfigError, match="quad_nodes"):
             load_config(path)
+        # Every domain is the unit interval or square, so its volume is not a setting.
+        path.write_text("experiment: exp1\ntrain: {domain_volume: 1.0}\n")
+        with pytest.raises(ConfigError, match="domain_volume"):
+            load_config(path)
 
     def test_exp2_requires_degree_one(self, tmp_path):
         path = tmp_path / "c.yaml"

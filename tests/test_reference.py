@@ -8,7 +8,13 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg
 
-from sgnet.fields import exp1_forcing_coeffs, field_model, make_spectral_field, sample_pathwise
+from sgnet.fields import (
+    draw_samples,
+    exp1_forcing_coeffs,
+    field_model,
+    make_spectral_field,
+    sample_pathwise,
+)
 from sgnet.reference import (
     FieldPositivityError,
     Mesh1D,
@@ -17,7 +23,6 @@ from sgnet.reference import (
     exp1_exact,
     exp1_exact_grad,
     fem_pathwise,
-    mc_pathwise_reference,
     sga_fem_coupled,
 )
 from sgnet.spectral import PolyFamily, galerkin_tensor, total_degree_basis
@@ -46,7 +51,7 @@ class TestFem1D:
     def test_nodal_exactness_for_constant_data(self):
         # Linear elements are nodally exact for -u'' = 1.
         mesh = Mesh1D(64)
-        solution = fem_pathwise(mesh, lambda x: np.ones_like(x), lambda x: np.ones_like(x))
+        solution = fem_pathwise(mesh, lambda x: (np.ones_like(x), np.ones_like(x)))
         exact = mesh.nodes * (1 - mesh.nodes) / 2
         assert np.max(np.abs(solution - exact)) < 1e-12
 
@@ -54,7 +59,7 @@ class TestFem1D:
         # a(x) = 1 + x and u = x (1 - x) gives f = -( (1+x) u' )' = 1 + 4x;
         # with exact element integrals the 1-D solve is nodally exact.
         mesh = Mesh1D(32)
-        sol = fem_pathwise(mesh, lambda x: 1 + x, lambda x: 1 + 4 * x)
+        sol = fem_pathwise(mesh, lambda x: (1 + x, 1 + 4 * x))
         assert np.max(np.abs(sol - mesh.nodes * (1 - mesh.nodes))) < 1e-12
 
     def test_manufactured_solution_l2_convergence(self):
@@ -64,7 +69,7 @@ class TestFem1D:
         errors = []
         for n in (16, 32, 64):
             mesh = Mesh1D(n)
-            sol = fem_pathwise(mesh, np.exp, lambda x: np.exp(x) * (1 + 2 * x))
+            sol = fem_pathwise(mesh, lambda x: (np.exp(x), np.exp(x) * (1 + 2 * x)))
             mid = mesh.midpoints
             interp = 0.5 * (sol[:-1] + sol[1:])
             errors.append(math.sqrt(float(np.mean((interp - u_exact(mid)) ** 2))))
@@ -74,7 +79,7 @@ class TestFem1D:
     def test_positivity_guard(self):
         mesh = Mesh1D(16)
         with pytest.raises(FieldPositivityError):
-            fem_pathwise(mesh, lambda x: x - 0.5, lambda x: np.ones_like(x))
+            fem_pathwise(mesh, lambda x: (x - 0.5, np.ones_like(x)))
 
 
 class TestFem2D:
@@ -85,7 +90,7 @@ class TestFem2D:
         errors = []
         for n in (8, 16, 32):
             mesh = Mesh2D(n)
-            sol = fem_pathwise(mesh, lambda p: np.ones(p.shape[0]), f)
+            sol = fem_pathwise(mesh, lambda p: (np.ones(p.shape[0]), f(p)))
             xx, yy = np.meshgrid(mesh.nodes1d, mesh.nodes1d, indexing="ij")
             pts = np.stack([xx.ravel(), yy.ravel()], axis=1)
             diff = sol.ravel() - u(pts)
@@ -103,7 +108,7 @@ class TestFem2D:
         errors = []
         for n in (8, 16, 32):
             mesh = Mesh2D(n)
-            sol = fem_pathwise(mesh, lambda p: np.ones(p.shape[0]), f)
+            sol = fem_pathwise(mesh, lambda p: (np.ones(p.shape[0]), f(p)))
             h = mesh.h
             c00 = sol[:-1, :-1]
             c10 = sol[1:, :-1]
@@ -128,11 +133,7 @@ class TestFem2D:
         rng = np.random.default_rng(0)
         y = rng.uniform(-1, 1, 2)
         mesh = Mesh2D(16)
-        sol = fem_pathwise(
-            mesh,
-            lambda p: sample_pathwise(model, y, p)[0],
-            lambda p: sample_pathwise(model, y, p)[1],
-        )
+        sol = fem_pathwise(mesh, lambda p: sample_pathwise(model, y, p))
         assert sol.shape == (17, 17)
         interior = sol[1:-1, 1:-1]
         assert np.all(interior > 0.0)
@@ -160,9 +161,9 @@ class TestCoupledSolver:
         tensor = galerkin_tensor(basis)
         mesh = Mesh1D(32)
         coupled = sga_fem_coupled(mesh, field, tensor)
-        a0 = lambda x: field.coeff_values(x.reshape(-1, 1))[:, 0]
-        f0 = lambda x: field.forcing_values(x.reshape(-1, 1))[:, 0]
-        direct = fem_pathwise(mesh, a0, f0)
+        direct = fem_pathwise(
+            mesh, lambda x: (field.coeff_values(x)[:, 0], field.forcing_values(x)[:, 0])
+        )
         np.testing.assert_allclose(coupled.coeffs[0], direct, atol=1e-11)
 
     def test_galerkin_orthogonality(self):
@@ -176,6 +177,35 @@ class TestCoupledSolver:
         u = solution.coeffs[:, 1:-1].T.ravel()
         residual = matrix @ u - load
         assert np.max(np.abs(residual)) < 1e-10
+
+    def test_direct_solve_matches_sparse_lu(self):
+        # Independent oracle: SuperLU on the assembled system, no banded storage.
+        basis = total_degree_basis(2, 2, PolyFamily.HERMITE)
+        field = make_spectral_field(field_model("exp3", 2), basis)
+        tensor = galerkin_tensor(basis)
+        mesh = Mesh1D(48)
+        matrix, load = assemble_coupled_system(mesh, field, tensor)
+        expected = scipy.sparse.linalg.spsolve(matrix.tocsc(), load)
+        u = sga_fem_coupled(mesh, field, tensor).coeffs[:, 1:-1].T.ravel()
+        assert np.linalg.norm(u - expected) <= 1e-12 * np.linalg.norm(expected)
+
+    def test_negative_mean_coefficient_is_rejected(self):
+        basis = total_degree_basis(2, 1, PolyFamily.HERMITE)
+        tensor = galerkin_tensor(basis)
+
+        class NegativeMeanField:
+            size = basis.size
+
+            def coeff_values(self, x):
+                values = np.zeros((x.shape[0], self.size))
+                values[:, 0] = -1.0
+                return values
+
+            def forcing_values(self, x):
+                return -self.coeff_values(x)
+
+        with pytest.raises(FieldPositivityError, match="not positive definite"):
+            sga_fem_coupled(Mesh1D(16), NegativeMeanField(), tensor)
 
     def test_block_matrix_is_symmetric_positive_definite(self):
         basis = total_degree_basis(2, 2, PolyFamily.HERMITE)
@@ -227,19 +257,8 @@ class TestPathwiseReference:
     def test_exp1_samples_are_nodally_exact(self):
         model = field_model("exp1", 1)
         mesh = Mesh1D(32)
-        for y, nodal in mc_pathwise_reference(model, mesh, n_mc=5, seed=3):
+        samples = draw_samples(model.family, model.n_vars, 5, np.random.default_rng(3))
+        for y in samples:
+            nodal = fem_pathwise(mesh, lambda x: sample_pathwise(model, y, x))
             exact = exp1_exact(float(y[0]), mesh.nodes)
             assert np.max(np.abs(nodal - exact)) < 1e-12
-
-    def test_empty_stream(self):
-        model = field_model("exp1", 1)
-        assert list(mc_pathwise_reference(model, Mesh1D(8), 0, seed=0)) == []
-
-    def test_fixed_seed_reproduces_samples(self):
-        model = field_model("exp3", 2)
-        mesh = Mesh1D(16)
-        run1 = [(y.copy(), s.copy()) for y, s in mc_pathwise_reference(model, mesh, 3, seed=9)]
-        run2 = [(y.copy(), s.copy()) for y, s in mc_pathwise_reference(model, mesh, 3, seed=9)]
-        for (y1, s1), (y2, s2) in zip(run1, run2):
-            np.testing.assert_array_equal(y1, y2)
-            np.testing.assert_array_equal(s1, s2)
