@@ -23,6 +23,7 @@ import yaml
 from . import diagnostics
 from .fields import FieldModel, field_model, make_spectral_field
 from .metrics import (
+    PathwiseEvaluator,
     SpatialGrid,
     coupled_evaluator,
     exact_exp1_evaluator,
@@ -31,7 +32,6 @@ from .metrics import (
     net_evaluator,
     rel_h1_error,
     uniform_grid_1d,
-    uniform_grid_2d,
 )
 from .net import BranchSpec, MultiBranchNet, enforcer_for
 from .reference import Mesh1D, Mesh2D, sga_fem_coupled
@@ -260,37 +260,25 @@ def load_config(path: str | Path) -> ExperimentConfig:
         raise ConfigError(str(exc)) from exc
 
 
-def _metric_grid(config: ExperimentConfig, model: FieldModel, reference: str) -> SpatialGrid:
-    if reference in ("fem", "coupled"):
-        mesh_size = config.metric.mesh or (512 if model.spatial_dim == 1 else 64)
-        mesh = Mesh1D(mesh_size) if model.spatial_dim == 1 else Mesh2D(mesh_size)
-        return midpoint_grid(mesh)
-    if model.spatial_dim == 1:
-        return uniform_grid_1d(config.metric.grid_points or 257)
-    return uniform_grid_2d(config.metric.grid_points or 65)
-
-
-def _reference_evaluator(
-    config: ExperimentConfig,
-    model: FieldModel,
-    basis,
-    tensor,
-    train_field,
-    grid: SpatialGrid,
-    reference: str,
-):
+def _reference(
+    config: ExperimentConfig, model: FieldModel, basis, tensor, train_field, reference: str
+) -> tuple[SpatialGrid, PathwiseEvaluator]:
+    """Metric grid and reference evaluator; FEM references are compared at mesh midpoints."""
     if reference == "analytic":
         if config.experiment != "exp1":
             raise ConfigError("the analytic reference exists only for exp1")
-        return exact_exp1_evaluator(grid)
+        grid = uniform_grid_1d(config.metric.grid_points or 257)
+        return grid, exact_exp1_evaluator(grid)
     mesh_size = config.metric.mesh or (512 if model.spatial_dim == 1 else 64)
     if reference == "fem":
         mesh = Mesh1D(mesh_size) if model.spatial_dim == 1 else Mesh2D(mesh_size)
-        return fem_evaluator(model, mesh, grid)
+        grid = midpoint_grid(mesh)
+        return grid, fem_evaluator(model, mesh, grid)
     if model.spatial_dim != 1:
         raise ConfigError("the coupled reference is only assembled on 1-D meshes")
-    solution = sga_fem_coupled(Mesh1D(mesh_size), train_field, tensor)
-    return coupled_evaluator(solution, basis, grid)
+    mesh = Mesh1D(mesh_size)
+    grid = midpoint_grid(mesh)
+    return grid, coupled_evaluator(sga_fem_coupled(mesh, train_field, tensor), basis, grid)
 
 
 def run(config: ExperimentConfig, echo=print) -> int:
@@ -319,10 +307,7 @@ def run(config: ExperimentConfig, echo=print) -> int:
                 plain_field = (
                     train_field if config.weighting == "none" else make_spectral_field(model, basis)
                 )
-                grid = _metric_grid(config, model, reference)
-                ref_eval = _reference_evaluator(
-                    config, model, basis, tensor, train_field, grid, reference
-                )
+                grid, ref_eval = _reference(config, model, basis, tensor, train_field, reference)
                 for method in config.methods:
                     tag = f"{config.experiment}_{method}_N{n_vars}_P{degree}"
                     echo(f"[{tag}] training {basis.size} branches")

@@ -278,9 +278,6 @@ class FieldModel:
     spatial_dim: int
     family: PolyFamily
 
-    def measure_samples(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        return draw_samples(self.family, self.n_vars, n, rng)
-
 
 def field_model(kind: str, n_vars: int) -> FieldModel:
     """Construct one of the named field models."""

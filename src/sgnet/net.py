@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 from scipy.special import expit
@@ -198,23 +198,11 @@ class MultiBranchNet:
 
     def __init__(
         self,
-        spec: BranchSpec | Sequence[BranchSpec],
-        n_branches: int | None = None,
+        spec: BranchSpec,
+        n_branches: int,
         enforcer: Enforcer | None = None,
         seed: int = 0,
     ) -> None:
-        if isinstance(spec, BranchSpec):
-            if n_branches is None:
-                raise ValueError("n_branches is required with a single shared spec")
-        else:
-            specs = list(spec)
-            if not specs:
-                raise ValueError("at least one branch is required")
-            if any(s != specs[0] for s in specs):
-                raise ValueError("all branches must share one spec (stacked storage)")
-            if n_branches is not None and n_branches != len(specs):
-                raise ValueError("n_branches contradicts the spec list")
-            spec, n_branches = specs[0], len(specs)
         if n_branches < 1:
             raise ValueError("n_branches must be positive")
         self.spec = spec

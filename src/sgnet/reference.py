@@ -13,8 +13,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.linalg import LinAlgError, solve_banded, solveh_banded
+from scipy.linalg import LinAlgError, solveh_banded
 
 from .fields import SpectralField
 from .spectral import GalerkinTensor, PolyFamily, gauss_rule
@@ -94,41 +93,37 @@ class Mesh2D:
         return (np.arange(self.n) + 0.5) * self.h
 
 
-# 2 x 2 Gauss points on the reference square, and the bilinear shape values /
-# reference gradients there.  Weights are 1/4 each on the unit square.
+# 2 x 2 Gauss points on the reference square (weights 1/4 each), the bilinear
+# shape values there, and the per-point reference stiffness w_q grad_i . grad_j.
 _QP_1D = np.array([0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0)])
+_Q1_POINTS = np.array([[a, b] for a in _QP_1D for b in _QP_1D])
+_XI, _ETA = _Q1_POINTS[:, 0], _Q1_POINTS[:, 1]
+_Q1_LOAD = 0.25 * np.stack(
+    [(1 - _XI) * (1 - _ETA), _XI * (1 - _ETA), _XI * _ETA, (1 - _XI) * _ETA], axis=1
+)
+_Q1_GRADS = np.stack(
+    [
+        np.stack([-(1 - _ETA), -(1 - _XI)], axis=1),
+        np.stack([(1 - _ETA), -_XI], axis=1),
+        np.stack([_ETA, _XI], axis=1),
+        np.stack([-_ETA, (1 - _XI)], axis=1),
+    ],
+    axis=1,
+)
+_Q1_STIFFNESS = 0.25 * np.einsum("qid,qjd->qij", _Q1_GRADS, _Q1_GRADS)
 
 
-def _q1_reference() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    pts = np.array([[a, b] for a in _QP_1D for b in _QP_1D])
-    xi, eta = pts[:, 0], pts[:, 1]
-    shapes = np.stack(
-        [(1 - xi) * (1 - eta), xi * (1 - eta), xi * eta, (1 - xi) * eta], axis=1
-    )
-    grads = np.empty((4, 4, 2))
-    grads[:, 0] = np.stack([-(1 - eta), -(1 - xi)], axis=1)
-    grads[:, 1] = np.stack([(1 - eta), -xi], axis=1)
-    grads[:, 2] = np.stack([eta, xi], axis=1)
-    grads[:, 3] = np.stack([-eta, (1 - xi)], axis=1)
-    weights = np.full(4, 0.25)
-    return pts, shapes, grads, weights
+def _solve_spd_banded(band: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Cholesky solve of a symmetric positive definite system in upper band storage.
 
-
-def _solve_spd_banded(matrix: sp.csr_matrix, rhs: np.ndarray) -> np.ndarray:
-    """Banded Cholesky solve of a symmetric positive definite sparse system.
-
-    The half-bandwidth is read off the stored upper triangle, so no entry is
-    dropped; a matrix that is not positive definite raises
-    ``FieldPositivityError``.
+    ``band[bw + i - j, j] = A[i, j]`` for ``i <= j``, with ``bw + 1`` rows (the
+    LAPACK layout); the band is overwritten.  A matrix that is not positive
+    definite raises ``FieldPositivityError``.
     """
-    upper = sp.triu(matrix, format="coo")
-    upper.sum_duplicates()
-    offsets = upper.col - upper.row
-    bandwidth = int(np.max(offsets, initial=0))
-    banded = np.zeros((bandwidth + 1, matrix.shape[0]))
-    banded[bandwidth - offsets, upper.col] = upper.data
+    # An n x n matrix has no offsets of n or more; dropping those rows also
+    # keeps a single unknown off scipy's two-row path, which rejects it.
     try:
-        return solveh_banded(banded, rhs, overwrite_ab=True)
+        return solveh_banded(band[-band.shape[1] :], rhs, overwrite_ab=True)
     except LinAlgError as exc:
         message = f"the discrete operator is not positive definite: {exc}"
         raise FieldPositivityError(message) from exc
@@ -152,56 +147,54 @@ def _fem_1d(mesh: Mesh1D, field_fn: Callable) -> np.ndarray:
     load_left = (f_q * (1.0 - t) * qw).sum(axis=1)
     load_right = (f_q * t * qw).sum(axis=1)
 
-    n_int = mesh.n_elem - 1
-    diag = stiff[:-1] + stiff[1:]
-    rhs = load_right[:-1] + load_left[1:]
-    banded = np.zeros((3, n_int))
-    banded[0, 1:] = -stiff[1:-1]
-    banded[1] = diag
-    banded[2, :-1] = -stiff[1:-1]
-    interior = solve_banded((1, 1), banded, rhs)
+    band = np.zeros((2, mesh.n_elem - 1))
+    band[0, 1:] = -stiff[1:-1]
+    band[1] = stiff[:-1] + stiff[1:]
     solution = np.zeros(mesh.n_elem + 1)
-    solution[1:-1] = interior
+    solution[1:-1] = _solve_spd_banded(band, load_right[:-1] + load_left[1:])
     return solution
 
 
 def _fem_2d(mesh: Mesh2D, field_fn: Callable) -> np.ndarray:
-    """Bilinear-element solve on the unit square; returns nodal values, shape (n+1, n+1)."""
+    """Bilinear-element solve on the unit square; returns nodal values, shape (n+1, n+1).
+
+    Interior nodes are numbered row-major, so the interior stiffness has
+    half-bandwidth n; element matrices are summed straight into its band.
+    """
     n = mesh.n
     h = mesh.h
-    pts, shapes, grads, weights = _q1_reference()
+    stride = n + 1
     ex, ey = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
     corners = np.stack([ex.ravel(), ey.ravel()], axis=1) * h  # lower-left corner of each element
     n_elem = corners.shape[0]
     # Physical quadrature points per element, flattened to (n_elem * 4, 2).
-    qp = corners[:, None, :] + pts[None, :, :] * h
+    qp = corners[:, None, :] + _Q1_POINTS[None, :, :] * h
     a_q, f_q = (np.asarray(v, dtype=float).reshape(n_elem, 4) for v in field_fn(qp.reshape(-1, 2)))
     if np.any(a_q <= 0.0):
         raise FieldPositivityError("diffusion coefficient is not positive on the mesh")
 
     # Local stiffness: the h^2 Jacobian cancels the 1/h^2 of physical gradients.
-    k_ref = np.einsum("q,qid,qjd->qij", weights, grads, grads)
-    k_local = np.einsum("eq,qij->eij", a_q, k_ref)
-    f_local = np.einsum("eq,qi,q->ei", f_q, shapes, weights) * (h * h)
+    k_local = np.einsum("eq,qij->eij", a_q, _Q1_STIFFNESS)
+    f_local = f_q @ _Q1_LOAD * (h * h)
 
-    stride = n + 1
     base = ex.ravel() * stride + ey.ravel()
     local_nodes = np.stack([base, base + stride, base + stride + 1, base + 1], axis=1)
+    n_dof = (n - 1) ** 2
+    node_dof = np.full((stride, stride), -1)
+    node_dof[1:-1, 1:-1] = np.arange(n_dof).reshape(n - 1, n - 1)
+    dofs = node_dof.ravel()[local_nodes]
+    rows, cols = dofs[:, :, None], dofs[:, None, :]
+    # Upper-triangle entries between interior nodes; boundary dofs are -1.
+    keep = (rows >= 0) & (rows <= cols)
+    slots = ((n + rows - cols) * n_dof + cols)[keep]
+    band = np.bincount(slots, weights=k_local[keep], minlength=(n + 1) * n_dof)
+    rhs = np.bincount(local_nodes.ravel(), weights=f_local.ravel(), minlength=stride**2)
 
-    rows = np.repeat(local_nodes, 4, axis=1).ravel()
-    cols = np.tile(local_nodes, (1, 4)).ravel()
-    matrix = sp.coo_matrix(
-        (k_local.ravel(), (rows, cols)), shape=(stride**2, stride**2)
-    ).tocsr()
-    rhs = np.zeros(stride**2)
-    np.add.at(rhs, local_nodes.ravel(), f_local.ravel())
-
-    idx = np.arange(stride**2).reshape(stride, stride)
-    interior = idx[1:-1, 1:-1].ravel()
-    k_ii = matrix[interior][:, interior]
-    solution = np.zeros(stride**2)
-    solution[interior] = _solve_spd_banded(k_ii, rhs[interior])
-    return solution.reshape(stride, stride)
+    solution = np.zeros((stride, stride))
+    solution[1:-1, 1:-1] = _solve_spd_banded(
+        band.reshape(n + 1, n_dof), rhs.reshape(stride, stride)[1:-1, 1:-1].ravel()
+    ).reshape(n - 1, n - 1)
+    return solution
 
 
 def fem_pathwise(mesh: Mesh1D | Mesh2D, field_fn: Callable) -> np.ndarray:
@@ -233,11 +226,12 @@ class CoupledSolution:
 
 def assemble_coupled_system(
     mesh: Mesh1D, field_: SpectralField, tensor: GalerkinTensor
-) -> tuple[sp.csr_matrix, np.ndarray]:
-    """Block stiffness matrix and load vector of the coupled weak form.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Block stiffness matrix, in upper band storage, and load vector of the coupled weak form.
 
     Degrees of freedom are node-major: dof = (node - 1) * (M + 1) + coefficient,
-    so the matrix is block tridiagonal with half-bandwidth 2 (M + 1) - 1.
+    so the matrix is block tridiagonal with half-bandwidth 2 (M + 1) - 1 and the
+    band ``band[2 (M + 1) - 1 + i - j, j] = A[i, j]`` has 2 (M + 1) rows.
     """
     size = field_.size
     h = mesh.h
@@ -257,41 +251,28 @@ def assemble_coupled_system(
     f_right = np.einsum("eqk,eq,eq->ek", f_vals, t, qw)
 
     n_int = mesh.n_elem - 1
-    n_dof = n_int * size
     inv_h2 = 1.0 / (h * h)
-
-    blocks_diag = (a_blocks[:-1] + a_blocks[1:]) * inv_h2  # per interior node
-    blocks_off = -a_blocks[1:-1] * inv_h2  # between consecutive interior nodes
-
-    data: list[np.ndarray] = []
-    rows: list[np.ndarray] = []
-    cols: list[np.ndarray] = []
-    block_i, block_j = np.meshgrid(np.arange(size), np.arange(size), indexing="ij")
-    for node in range(n_int):
-        offset = node * size
-        data.append(blocks_diag[node].ravel())
-        rows.append((offset + block_i).ravel())
-        cols.append((offset + block_j).ravel())
-    for node in range(n_int - 1):
-        offset = node * size
-        block = blocks_off[node]
-        data.extend([block.ravel(), block.T.ravel()])
-        rows.extend([(offset + block_i).ravel(), (offset + size + block_i).ravel()])
-        cols.extend([(offset + size + block_j).ravel(), (offset + block_j).ravel()])
-    matrix = sp.coo_matrix(
-        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n_dof, n_dof),
-    ).tocsr()
-    load = (f_right[:-1] + f_left[1:]).reshape(n_dof)
-    return matrix, load
+    # Band column (node, j) holds column j of the node's diagonal block in rows
+    # 2 size - 1 + i - j (i <= j) and column j of the block coupling it to the
+    # previous node in rows size - 1 + i - j (all i).
+    band = np.zeros((2 * size, n_int, size))
+    upper_i, upper_j = np.triu_indices(size)
+    band[2 * size - 1 + upper_i - upper_j, :, upper_j] = (
+        (a_blocks[:-1] + a_blocks[1:])[:, upper_i, upper_j] * inv_h2
+    ).T
+    all_i, all_j = np.indices((size, size)).reshape(2, -1)
+    band[size - 1 + all_i - all_j, 1:, all_j] = (-a_blocks[1:-1][:, all_i, all_j] * inv_h2).T
+    load = (f_right[:-1] + f_left[1:]).reshape(n_int * size)
+    return band.reshape(2 * size, n_int * size), load
 
 
 def sga_fem_coupled(mesh: Mesh1D, field_: SpectralField, tensor: GalerkinTensor) -> CoupledSolution:
     """Solve the coupled weak form directly by banded Cholesky factorization."""
     size = field_.size
-    matrix, load = assemble_coupled_system(mesh, field_, tensor)
-    u = _solve_spd_banded(matrix, load)
-    energy = 0.5 * float(u @ (matrix @ u)) - float(load @ u)
+    band, load = assemble_coupled_system(mesh, field_, tensor)
+    u = _solve_spd_banded(band, load)
+    # At the solution A u = load, so the energy u.A u / 2 - load.u is -load.u / 2.
+    energy = -0.5 * float(load @ u)
     coeffs = np.zeros((size, mesh.n_elem + 1))
     coeffs[:, 1:-1] = u.reshape(mesh.n_elem - 1, size).T
     return CoupledSolution(mesh, coeffs, energy)

@@ -104,6 +104,21 @@ def star_discrepancy_1d(points: np.ndarray) -> float:
     return float(np.max(np.maximum(np.abs(x - i / n), np.abs(x - (i - 1) / n))))
 
 
+def dense_from_upper_band(band: np.ndarray) -> np.ndarray:
+    """Symmetric dense matrix of LAPACK upper band storage, entry by entry.
+
+    ``band[bw + i - j, j] = A[i, j]`` for ``j - bw <= i <= j``, where the band
+    has ``bw + 1`` rows; every other upper entry is zero.
+    """
+    bandwidth = band.shape[0] - 1
+    n = band.shape[1]
+    dense = np.zeros((n, n))
+    for j in range(n):
+        for i in range(max(0, j - bandwidth), j + 1):
+            dense[i, j] = dense[j, i] = band[bandwidth + i - j, j]
+    return dense
+
+
 class ExactCoefficientNet:
     """Duck-typed branch set with hard-wired coefficient functions.
 

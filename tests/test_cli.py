@@ -10,8 +10,10 @@ import numpy as np
 import pytest
 import yaml
 
+import sgnet.cli
 from sgnet.cli import (
     EXIT_CONFIG,
+    EXIT_TRAINING,
     RESULT_COLUMNS,
     ConfigError,
     load_config,
@@ -20,6 +22,7 @@ from sgnet.cli import (
     run,
     tensor_dump,
 )
+from sgnet.solver import TrainingDivergedError
 from sgnet.spectral import PolyFamily, load_tensor
 
 
@@ -153,6 +156,29 @@ class TestRunner:
         assert (out / "net_exp1_ritz_N1_P0.npz").exists()
         history = (out / "history_exp1_ritz_N1_P0.csv").read_text().splitlines()
         assert history[0] == "epoch,risk,lr,validation,seconds"
+
+    def test_training_abort_keeps_partial_results(self, tmp_path, monkeypatch):
+        # The second training of the sweep diverges: run exits with code 3 and
+        # results.csv keeps the header and the row of the first method.
+        config = load_config(write_config(tmp_path / "c.yaml", P=[0]))
+        real_train = sgnet.cli.train
+        methods = []
+
+        def train_then_diverge(net, loss_kind, *args, **kwargs):
+            methods.append(loss_kind)
+            if len(methods) == 2:
+                raise TrainingDivergedError("risk is not finite at epoch 1")
+            return real_train(net, loss_kind, *args, **kwargs)
+
+        monkeypatch.setattr(sgnet.cli, "train", train_then_diverge)
+        assert run(config, echo=lambda *_: None) == EXIT_TRAINING
+        assert methods == ["strong", "ritz"]
+        out = Path(config.out_dir)
+        header = (out / "results.csv").read_text().splitlines()[0]
+        assert tuple(header.split(",")) == RESULT_COLUMNS
+        rows = read_results(out)
+        assert [(row["method"], row["P"]) for row in rows] == [("galerkin", "0")]
+        assert float(rows[0]["rel_error"]) >= 0.0
 
 
 class TestPlot:

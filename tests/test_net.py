@@ -42,17 +42,6 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             BranchSpec(1, (0,), ("swish", "linear"))
 
-    def test_heterogeneous_branch_specs_rejected(self):
-        a = BranchSpec(1, (5,), ("swish", "linear"))
-        b = BranchSpec(1, (6,), ("swish", "linear"))
-        with pytest.raises(ValueError):
-            MultiBranchNet([a, b])
-
-    def test_spec_list_accepted(self):
-        a = BranchSpec(1, (5,), ("swish", "linear"))
-        net = MultiBranchNet([a, a, a], seed=1)
-        assert net.n_branches == 3
-
 
 class TestInitialization:
     def test_same_seed_is_bitwise_identical(self):

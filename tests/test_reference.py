@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse.linalg
+from oracles import dense_from_upper_band
 
 from sgnet.fields import (
     draw_samples,
@@ -54,6 +55,11 @@ class TestFem1D:
         solution = fem_pathwise(mesh, lambda x: (np.ones_like(x), np.ones_like(x)))
         exact = mesh.nodes * (1 - mesh.nodes) / 2
         assert np.max(np.abs(solution - exact)) < 1e-12
+
+    def test_two_element_mesh_has_one_unknown(self):
+        # The smallest mesh: u(1/2) = 1/8 for -u'' = 1.
+        solution = fem_pathwise(Mesh1D(2), lambda x: (np.ones_like(x), np.ones_like(x)))
+        np.testing.assert_allclose(solution, [0.0, 0.125, 0.0], rtol=0.0, atol=1e-15)
 
     def test_manufactured_variable_coefficient_is_nodally_exact(self):
         # a(x) = 1 + x and u = x (1 - x) gives f = -( (1+x) u' )' = 1 + 4x;
@@ -172,22 +178,53 @@ class TestCoupledSolver:
         field = make_spectral_field(model, basis)
         tensor = galerkin_tensor(basis)
         mesh = Mesh1D(48)
-        matrix, load = assemble_coupled_system(mesh, field, tensor)
+        band, load = assemble_coupled_system(mesh, field, tensor)
         solution = sga_fem_coupled(mesh, field, tensor)
         u = solution.coeffs[:, 1:-1].T.ravel()
-        residual = matrix @ u - load
+        residual = dense_from_upper_band(band) @ u - load
         assert np.max(np.abs(residual)) < 1e-10
 
     def test_direct_solve_matches_sparse_lu(self):
-        # Independent oracle: SuperLU on the assembled system, no banded storage.
+        # Independent oracle: SuperLU on the assembled system expanded from its band.
         basis = total_degree_basis(2, 2, PolyFamily.HERMITE)
         field = make_spectral_field(field_model("exp3", 2), basis)
         tensor = galerkin_tensor(basis)
         mesh = Mesh1D(48)
-        matrix, load = assemble_coupled_system(mesh, field, tensor)
-        expected = scipy.sparse.linalg.spsolve(matrix.tocsc(), load)
+        band, load = assemble_coupled_system(mesh, field, tensor)
+        matrix = scipy.sparse.csc_matrix(dense_from_upper_band(band))
+        expected = scipy.sparse.linalg.spsolve(matrix, load)
         u = sga_fem_coupled(mesh, field, tensor).coeffs[:, 1:-1].T.ravel()
         assert np.linalg.norm(u - expected) <= 1e-12 * np.linalg.norm(expected)
+
+    def test_band_matches_naive_element_assembly(self):
+        # Independent oracle: dense element-by-element accumulation of
+        # int a_k G_kij phi_p' phi_q' over each element, with numpy's own
+        # 3-point Gauss-Legendre rule and the hat-function slopes -1/h, 1/h.
+        basis = total_degree_basis(2, 2, PolyFamily.HERMITE)
+        field = make_spectral_field(field_model("exp3", 2), basis)
+        tensor = galerkin_tensor(basis)
+        mesh = Mesh1D(12)
+        size = basis.size
+        n_dof = (mesh.n_elem - 1) * size
+        gauss_nodes, gauss_weights = np.polynomial.legendre.leggauss(3)
+        expected = np.zeros((n_dof, n_dof))
+        for element in range(mesh.n_elem):
+            x = mesh.nodes[element] + 0.5 * (gauss_nodes + 1.0) * mesh.h
+            a_int = 0.5 * mesh.h * gauss_weights @ field.coeff_values(x[:, None])
+            slopes = {element: -1.0 / mesh.h, element + 1: 1.0 / mesh.h}
+            for p, slope_p in slopes.items():
+                for q, slope_q in slopes.items():
+                    if min(p, q) == 0 or max(p, q) == mesh.n_elem:
+                        continue
+                    for i in range(size):
+                        for j in range(size):
+                            a_ij = sum(a_int[k] * tensor.values[k, i, j] for k in range(size))
+                            expected[(p - 1) * size + i, (q - 1) * size + j] += (
+                                a_ij * slope_p * slope_q
+                            )
+        band, _ = assemble_coupled_system(mesh, field, tensor)
+        assert band.shape == (2 * size, n_dof)
+        np.testing.assert_allclose(dense_from_upper_band(band), expected, rtol=1e-13, atol=0.0)
 
     def test_negative_mean_coefficient_is_rejected(self):
         basis = total_degree_basis(2, 1, PolyFamily.HERMITE)
@@ -212,12 +249,8 @@ class TestCoupledSolver:
         model = field_model("exp3", 2)
         field = make_spectral_field(model, basis)
         tensor = galerkin_tensor(basis)
-        matrix, _ = assemble_coupled_system(Mesh1D(32), field, tensor)
-        asym = abs(matrix - matrix.T)
-        assert asym.max() < 1e-14 * abs(matrix).max()
-        smallest = scipy.sparse.linalg.eigsh(
-            matrix, k=1, which="SA", maxiter=1000, return_eigenvectors=False
-        )[0]
+        band, _ = assemble_coupled_system(Mesh1D(32), field, tensor)
+        smallest = np.linalg.eigvalsh(dense_from_upper_band(band))[0]
         assert smallest > 0.0
 
     def test_energy_is_minimal_under_perturbations(self):
@@ -226,7 +259,8 @@ class TestCoupledSolver:
         field = make_spectral_field(model, basis)
         tensor = galerkin_tensor(basis)
         mesh = Mesh1D(48)
-        matrix, load = assemble_coupled_system(mesh, field, tensor)
+        band, load = assemble_coupled_system(mesh, field, tensor)
+        matrix = dense_from_upper_band(band)
         solution = sga_fem_coupled(mesh, field, tensor)
 
         def energy(nodal):
