@@ -36,7 +36,14 @@ from .metrics import (
 from .net import BranchSpec, MultiBranchNet, enforcer_for
 from .reference import Mesh1D, Mesh2D, sga_fem_coupled
 from .solver import TrainConfig, TrainingDivergedError, train
-from .spectral import PolyFamily, galerkin_tensor, save_tensor, total_degree_basis
+from .spectral import (
+    PolyFamily,
+    basis_dim,
+    galerkin_tensor,
+    require_dense_fits,
+    save_tensor,
+    total_degree_basis,
+)
 from .svgplot import line_plot
 
 __all__ = ["ConfigError", "ExperimentConfig", "load_config", "run", "plot", "main"]
@@ -128,6 +135,10 @@ class ExperimentConfig:
             raise ConfigError("the weighted expansion trains the ritz loss only")
         if self.output_scale <= 0:
             raise ConfigError("output_scale must be positive")
+        if self.metric.reference == "analytic" and self.experiment != "exp1":
+            raise ConfigError("the analytic reference exists only for exp1")
+        if self.metric.reference == "coupled" and self.experiment == "exp2":
+            raise ConfigError("the coupled reference is only assembled on 1-D meshes; exp2 is 2-D")
 
     @property
     def methods(self) -> tuple[str, ...]:
@@ -265,8 +276,6 @@ def _reference(
 ) -> tuple[SpatialGrid, PathwiseEvaluator]:
     """Metric grid and reference evaluator; FEM references are compared at mesh midpoints."""
     if reference == "analytic":
-        if config.experiment != "exp1":
-            raise ConfigError("the analytic reference exists only for exp1")
         grid = uniform_grid_1d(config.metric.grid_points or 257)
         return grid, exact_exp1_evaluator(grid)
     mesh_size = config.metric.mesh or (512 if model.spatial_dim == 1 else 64)
@@ -274,8 +283,6 @@ def _reference(
         mesh = Mesh1D(mesh_size) if model.spatial_dim == 1 else Mesh2D(mesh_size)
         grid = midpoint_grid(mesh)
         return grid, fem_evaluator(model, mesh, grid)
-    if model.spatial_dim != 1:
-        raise ConfigError("the coupled reference is only assembled on 1-D meshes")
     mesh = Mesh1D(mesh_size)
     grid = midpoint_grid(mesh)
     return grid, coupled_evaluator(sga_fem_coupled(mesh, train_field, tensor), basis, grid)
@@ -434,16 +441,21 @@ def plot(results_csv: str | Path, kind: str, out_path: str | Path, echo=print) -
 
 
 def tensor_dump(n_vars: int, degree: int, family_name: str, out_path: str | Path, echo=print) -> int:
-    """Precompute a triple-product tensor and write the binary dump."""
+    """Precompute a triple-product tensor and write the dense binary dump.
+
+    A dump whose cube would not fit in physical memory is refused before
+    anything is built.
+    """
     try:
         family = PolyFamily(family_name)
     except ValueError:
         echo(f"unknown family {family_name!r}; use 'hermite' or 'legendre'")
         return EXIT_CONFIG
     try:
+        require_dense_fits(basis_dim(n_vars, degree))
         basis = total_degree_basis(n_vars, degree, family)
     except ValueError as exc:
-        echo(f"invalid basis: {exc}")
+        echo(f"invalid tensor request: {exc}")
         return EXIT_CONFIG
     tensor = galerkin_tensor(basis)
     try:

@@ -242,10 +242,8 @@ def assemble_coupled_system(
 
     a_vals = field_.coeff_values(qp.reshape(-1, 1)).reshape(mesh.n_elem, rule.nodes.size, size)
     f_vals = field_.forcing_values(qp.reshape(-1, 1)).reshape(mesh.n_elem, rule.nodes.size, size)
-    # Element integrals of A_ij and of f_k against the two hat functions.
-    a_blocks = (np.einsum("eqi,eq->ei", a_vals, qw) @ tensor.values.reshape(size, -1)).reshape(
-        -1, size, size
-    )
+    # Element integrals of A_jk = sum_i a_i G_ijk and of f_k against the two hat functions.
+    a_blocks = tensor.coupling_matrices(np.einsum("eqi,eq->ei", a_vals, qw))
     t = (qp - left[:, None]) / h
     f_left = np.einsum("eqk,eq,eq->ek", f_vals, 1.0 - t, qw)
     f_right = np.einsum("eqk,eq,eq->ek", f_vals, t, qw)

@@ -31,11 +31,7 @@ __all__ = [
     "TrainingDivergedError",
     "adam_step",
     "sobol_batch",
-    "assemble_A",
-    "assemble_B",
-    "strong_residual_matrix",
     "strong_risk",
-    "ritz_density",
     "ritz_risk",
     "validation_error",
     "default_validation_grid",
@@ -47,31 +43,11 @@ class TrainingDivergedError(RuntimeError):
     """Raised when a risk or gradient stops being finite during training."""
 
 
-# -- operator assembly ---------------------------------------------------------
-
-
-def assemble_A(tensor: GalerkinTensor, coeff_values: np.ndarray) -> np.ndarray:
-    """Per-point coupling matrices A_jk(x) = sum_i a_i(x) G_ijk, shape (n, K, K)."""
-    return np.einsum("ni,ijk->njk", coeff_values, tensor.values)
-
-
-def assemble_B(tensor: GalerkinTensor, coeff_grads: np.ndarray) -> np.ndarray:
-    """Per-point gradient couplings B_jk(x) = sum_i grad a_i(x) G_ijk, shape (n, K, K, d)."""
-    return np.einsum("nid,ijk->njkd", coeff_grads, tensor.values)
-
-
-def strong_residual_matrix(
-    a_matrix: np.ndarray,
-    b_tensor: np.ndarray,
-    forcing: np.ndarray,
-    laplacian: np.ndarray,
-    gradient: np.ndarray,
-) -> np.ndarray:
-    """Projected residuals r_k(x) = sum_j (A_jk lap u_j + B_jk . grad u_j) + f_k."""
-    residual = np.einsum("njk,nj->nk", a_matrix, laplacian)
-    residual += np.einsum("njkd,njd->nk", b_tensor, gradient)
-    residual += forcing
-    return residual
+# -- risks ----------------------------------------------------------------------------
+#
+# The only coupling is the symmetric tensor G, so with C(c, v)_k = sum_ij G_ijk c_i v_j
+# the strong residual is r = C(a, lap u) + sum_d C(d_d a, d_d u) + f, its cotangents
+# are C(a, r_bar) and C(d_d a, r_bar), and the Ritz flux is C(a, d_d u).
 
 
 def strong_risk(
@@ -83,34 +59,24 @@ def strong_risk(
 ):
     """Mean squared projected strong residual over the batch, with parameter gradient."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
-    n = x.shape[0]
+    n, dim = x.shape
     size = field_.size
     if net.n_branches != size:
         raise ValueError(f"network has {net.n_branches} branches, field expects {size}")
     record = net.evaluate(x, order=2)
-    a_matrix = assemble_A(tensor, field_.coeff_values(x))
-    b_tensor = assemble_B(tensor, field_.coeff_grads(x))
-    forcing = field_.forcing_values(x)
-    residual = strong_residual_matrix(a_matrix, b_tensor, forcing, record.laplacian, record.grad)
+    coeff = field_.coeff_values(x)
+    coeff_grads = field_.coeff_grads(x)
+    residual = tensor.contract(coeff, record.laplacian) + field_.forcing_values(x)
+    for d in range(dim):
+        residual += tensor.contract(coeff_grads[:, :, d], record.grad[:, :, d])
     risk = float(np.mean(residual * residual))
     if not with_grad:
         return risk, None
-    # d risk / d r_nk, then chain through the linear residual assembly.
+    # d risk / d r_nk, then chain through the linear residual.
     r_bar = residual * (2.0 / (n * size))
-    d_lap = np.einsum("njk,nk->nj", a_matrix, r_bar)
-    d_grad = np.einsum("njkd,nk->njd", b_tensor, r_bar)
+    d_lap = tensor.contract(coeff, r_bar)
+    d_grad = np.stack([tensor.contract(coeff_grads[:, :, d], r_bar) for d in range(dim)], axis=2)
     return risk, net.param_grad(record, d_grad=d_grad, d_lap=d_lap)
-
-
-def ritz_density(
-    a_matrix: np.ndarray,
-    forcing: np.ndarray,
-    value: np.ndarray,
-    gradient: np.ndarray,
-) -> np.ndarray:
-    """Energy density 1/2 sum_ij A_ij grad u_i . grad u_j - sum_k f_k u_k per point."""
-    flux = np.einsum("nij,njd->nid", a_matrix, gradient)
-    return 0.5 * np.einsum("nid,nid->n", gradient, flux) - np.einsum("nk,nk->n", forcing, value)
 
 
 def ritz_risk(
@@ -120,22 +86,26 @@ def ritz_risk(
     tensor: GalerkinTensor,
     with_grad: bool = True,
 ):
-    """Monte Carlo Ritz energy over the batch, with parameter gradient."""
+    """Monte Carlo Ritz energy over the batch, with parameter gradient.
+
+    The energy density is 1/2 sum_k grad u_k . flux_k - sum_k f_k u_k with the
+    flux C(a, grad u); the flux is also the gradient's cotangent up to 1/n.
+    """
     x = np.atleast_2d(np.asarray(x, dtype=float))
-    n = x.shape[0]
+    n, dim = x.shape
     size = field_.size
     if net.n_branches != size:
         raise ValueError(f"network has {net.n_branches} branches, field expects {size}")
     record = net.evaluate(x, order=1)
-    a_matrix = assemble_A(tensor, field_.coeff_values(x))
+    coeff = field_.coeff_values(x)
     forcing = field_.forcing_values(x)
-    risk = float(np.mean(ritz_density(a_matrix, forcing, record.value, record.grad)))
+    flux = np.stack([tensor.contract(coeff, record.grad[:, :, d]) for d in range(dim)], axis=2)
+    density = 0.5 * np.einsum("nid,nid->n", record.grad, flux) - np.einsum("nk,nk->n", forcing, record.value)
+    risk = float(np.mean(density))
     if not with_grad:
         return risk, None
     scale = 1.0 / n
-    d_grad = scale * np.einsum("nij,njd->nid", a_matrix, record.grad)
-    d_value = -scale * forcing
-    return risk, net.param_grad(record, d_value=d_value, d_grad=d_grad)
+    return risk, net.param_grad(record, d_value=-scale * forcing, d_grad=scale * flux)
 
 
 # -- validation ------------------------------------------------------------------

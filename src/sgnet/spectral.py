@@ -10,13 +10,16 @@ multi-indices of bounded total degree in graded lexicographic order.
 from __future__ import annotations
 
 import math
+import os
 import struct
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
+from scipy.sparse import csr_array
 
 __all__ = [
     "PolyFamily",
@@ -36,12 +39,15 @@ __all__ = [
     "kink_split_normal_rule",
     "project_1d",
     "galerkin_tensor",
+    "require_dense_fits",
     "save_tensor",
     "load_tensor",
 ]
 
-# Hard cap on the number of basis polynomials a single basis may hold; the
-# dense triple-product tensor grows with the cube of this number.
+# Hard cap on the number of basis polynomials a single basis may hold, which
+# bounds the Python list of multi-indices.  The triple-product tensor stores
+# only its structural nonzeros; the dense view of it is guarded separately by
+# ``require_dense_fits``.
 MAX_BASIS_SIZE = 200_000
 
 
@@ -302,69 +308,148 @@ def tensor_gauss_rule(basis: OrderedBasis, nodes_per_dim: int) -> tuple[np.ndarr
     return points, weights
 
 
+def require_dense_fits(size: int) -> None:
+    """Refuse a dense ``size**3`` float64 array that would exceed physical memory."""
+    needed = 8 * size**3
+    physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if needed > physical:
+        raise ValueError(
+            f"a dense {size}^3 triple-product tensor needs {needed / 1e9:.3g} GB, "
+            f"more than the {physical / 1e9:.3g} GB of physical memory"
+        )
+
+
 @dataclass(frozen=True)
 class GalerkinTensor:
-    """Dense symmetric tensor of triple products of basis polynomials."""
+    """Structural nonzeros of the symmetric triple-product tensor G_ijk = <p_i p_j p_k>.
 
-    values: np.ndarray
+    ``pair_i[p], pair_j[p]`` are the index pairs (i, j) with a nonzero entry,
+    in increasing order, and row p of the CSR arrays ``indptr``, ``k``, ``g``
+    lists their entries G[pair_i[p], pair_j[p], k] = g.  Every ordered triple
+    is stored, so the symmetry of G is in the data.
+    """
 
-    def __post_init__(self) -> None:
-        if self.values.ndim != 3 or len(set(self.values.shape)) != 1:
-            raise ValueError("triple-product tensor must be a cube")
+    dim: int
+    pair_i: np.ndarray
+    pair_j: np.ndarray
+    indptr: np.ndarray
+    k: np.ndarray
+    g: np.ndarray
+
+    @classmethod
+    def from_triples(cls, dim: int, i, j, k, g) -> "GalerkinTensor":
+        """Tensor with the entries G[i, j, k] = g, each ordered triple given once.
+
+        The triples must be sorted by (i, j), as ``np.nonzero`` lists them.
+        """
+        code = np.asarray(i, dtype=np.int64) * dim + j
+        starts = np.flatnonzero(np.diff(code, prepend=-1))
+        pair_code = code[starts]
+        indptr = np.append(starts, code.size)
+        return cls(dim, pair_code // dim, pair_code % dim, indptr, np.asarray(k), np.asarray(g, dtype=float))
+
+    @cached_property
+    def _by_pair(self) -> csr_array:
+        # Built on first use; it shares the arrays above.
+        return csr_array((self.g, self.k, self.indptr), shape=(self.pair_i.size, self.dim))
+
+    def triples(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Coordinate form ``(i, j, k, g)`` of the stored entries, sorted by (i, j)."""
+        counts = np.diff(self.indptr)
+        return np.repeat(self.pair_i, counts), np.repeat(self.pair_j, counts), self.k, self.g
+
+    def contract(self, coeff: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """``out[n, k] = sum_ij G_ijk coeff[n, i] u[n, j]`` for arrays of shape (n, dim).
+
+        The products coeff_i u_j are formed once per stored pair and summed
+        into every k by one sparse matrix product.
+        """
+        products = np.ascontiguousarray(coeff.T)[self.pair_i] * np.ascontiguousarray(u.T)[self.pair_j]
+        return (self._by_pair.T @ products).T
+
+    def coupling_matrices(self, coeff: np.ndarray) -> np.ndarray:
+        """``out[n, j, k] = sum_i coeff[n, i] G_ijk``, shape (n, dim, dim), from the nonzeros.
+
+        G is symmetric, so the stored pair (j, k) with column i gives G_ijk.
+        """
+        out = np.zeros((coeff.shape[0], self.dim, self.dim))
+        out[:, self.pair_i, self.pair_j] = (self._by_pair @ coeff.T).T
+        return out
 
     @property
-    def dim(self) -> int:
-        return self.values.shape[0]
+    def values(self) -> np.ndarray:
+        """Dense (dim, dim, dim) copy, built on every access.
+
+        Refused when it would exceed physical memory.
+        """
+        require_dense_fits(self.dim)
+        i, j, k, g = self.triples()
+        dense = np.zeros((self.dim,) * 3)
+        dense[i, j, k] = g
+        return dense
 
 
 def _univariate_triple_table(family: PolyFamily, max_degree: int) -> np.ndarray:
     """Symmetric table of univariate triple products for degrees <= max_degree.
 
     The quadrature order is exact for the degree-3P integrand with margin.
-    Entries are stored once per sorted degree triple and mirrored, so equality
-    under argument permutation holds bitwise.  Entries that vanish identically
-    are stored as exact zeros: the zero-degree slice is the Kronecker delta
-    because p_0 is the constant one, and both measures are symmetric, so
-    triples of odd total degree integrate to zero by parity.
+    Entries are computed once per sorted degree triple 1 <= a <= b <= c and
+    mirrored, so equality under argument permutation holds bitwise.  Entries
+    that vanish identically are exact zeros, never computed: both measures
+    are symmetric, so triples of odd total degree integrate to zero by
+    parity, and for c > a + b, p_c is orthogonal to the degree-(a + b)
+    product p_a p_b.  Because p_0 is the constant one, the zero-degree slices
+    are the Kronecker delta, and below degree 2 there is nothing else.
     """
+    g = np.zeros((max_degree + 1,) * 3)
+    degrees = np.arange(max_degree + 1)
+    g[0, degrees, degrees] = g[degrees, 0, degrees] = g[degrees, degrees, 0] = 1.0
+    if max_degree < 2:
+        return g
     n_nodes = math.ceil((3 * max_degree + 1) / 2) + 2
     rule = gauss_rule(family, n_nodes)
     table = univariate_table(family, max_degree, rule.nodes)
     weighted = table * rule.weights[:, None]
-    g = np.empty((max_degree + 1,) * 3)
-    for a in range(max_degree + 1):
+    for a in range(1, max_degree + 1):
         for b in range(a, max_degree + 1):
             pair = table[:, a] * table[:, b]
-            for c in range(b, max_degree + 1):
-                if a == 0:
-                    value = 1.0 if b == c else 0.0
-                elif (a + b + c) % 2:
-                    value = 0.0
-                else:
-                    value = float(pair @ weighted[:, c])
+            for c in range(b + a % 2, min(a + b, max_degree) + 1, 2):
+                value = float(pair @ weighted[:, c])
                 g[a, b, c] = g[a, c, b] = g[b, a, c] = value
                 g[b, c, a] = g[c, a, b] = g[c, b, a] = value
     return g
 
 
 def galerkin_tensor(basis: OrderedBasis) -> GalerkinTensor:
-    """Triple products <p_i p_j, p_k> of all basis-polynomial pairs.
+    """Triple products <p_i p_j, p_k> of all basis-polynomial pairs, nonzeros only.
 
-    Factorizes over dimensions: every entry is the product of univariate
-    triple products of the per-dimension degrees.
+    A univariate factor <p_a p_b p_c> vanishes unless a + b + c is even and
+    |a - b| <= c <= a + b.  So for fixed i and j the nonzero entries have the
+    k of degrees |nu_i - nu_j| + 2 t <= nu_i + nu_j entrywise, with total
+    degree at most P (so |t| <= P / 2); they are enumerated for blocks of i,
+    and no size^3 array is formed.  Every entry is the product of its
+    univariate factors, multiplied in dimension order.
     """
-    index_array = basis.index_array
-    size = basis.size
-    values = np.ones((size, size, size))
-    tables: dict[PolyFamily, np.ndarray] = {}
-    for dim in range(basis.n_dims):
-        family = basis.families[dim]
-        if family not in tables:
-            tables[family] = _univariate_triple_table(family, basis.max_degree)
-        g = tables[family]
-        deg = index_array[:, dim]
-        values *= g[deg[:, None, None], deg[None, :, None], deg[None, None, :]]
-    return GalerkinTensor(values)
+    deg = basis.index_array.astype(np.int32)
+    size, n_dims = deg.shape
+    tables = {family: _univariate_triple_table(family, basis.max_degree) for family in set(basis.families)}
+    factors = np.stack([tables[family] for family in basis.families])
+    double_steps = 2 * deg[deg.sum(axis=1) <= basis.max_degree // 2]
+    # Rows i are taken in blocks whose (i, j, t, dim) candidate array stays near 2^20 entries.
+    block = max(1, 2**20 // (size * double_steps.size))
+    found = []
+    for start in range(0, size, block):
+        rows = deg[start : start + block, None, None, :]
+        k_deg = np.abs(rows - deg[:, None, :]) + double_steps
+        fits = np.all(k_deg <= rows + deg[:, None, :], axis=3) & (k_deg.sum(axis=3) <= basis.max_degree)
+        i, j, t = np.nonzero(fits)
+        found.append((i + start, j, k_deg[i, j, t]))
+    i, j, k_deg = (np.concatenate(column) for column in zip(*found))
+    # A reduction along the last axis multiplies in order: dimension 0 first.
+    g = np.multiply.reduce(factors[np.arange(n_dims), deg[i], deg[j], k_deg], axis=1)
+    position = {nu: n for n, nu in enumerate(basis.indices)}
+    k = np.array([position[nu] for nu in map(tuple, k_deg.tolist())], dtype=np.int64)
+    return GalerkinTensor.from_triples(size, i, j, k, g)
 
 
 _TENSOR_MAGIC = b"SGGT"
@@ -373,23 +458,30 @@ _FAMILY_FROM_CODE = {code: fam for fam, code in _FAMILY_CODES.items()}
 
 
 def save_tensor(tensor: GalerkinTensor, family: PolyFamily, path) -> None:
-    """Binary dump: magic, u32 dimension, u8 family code, little-endian f64 entries."""
+    """Binary dump: magic, u32 dimension, u8 family code, little-endian f64 entries.
+
+    The dump is dense, so it is refused when the cube would not fit in memory.
+    """
+    values = tensor.values
     with open(path, "wb") as handle:
         handle.write(_TENSOR_MAGIC)
         handle.write(struct.pack("<IB", tensor.dim, _FAMILY_CODES[family]))
-        handle.write(np.ascontiguousarray(tensor.values, dtype="<f8").tobytes())
+        handle.write(np.ascontiguousarray(values, dtype="<f8").tobytes())
 
 
 def load_tensor(path) -> tuple[GalerkinTensor, PolyFamily]:
-    """Read a tensor written by :func:`save_tensor`."""
+    """Read a tensor written by :func:`save_tensor`; its nonzeros are kept."""
     with open(path, "rb") as handle:
         magic = handle.read(4)
         if magic != _TENSOR_MAGIC:
             raise ValueError(f"not a Galerkin tensor file: bad magic {magic!r}")
         dim, code = struct.unpack("<IB", handle.read(5))
+        require_dense_fits(dim)
         data = np.frombuffer(handle.read(8 * dim**3), dtype="<f8")
     if data.size != dim**3:
         raise ValueError("truncated tensor file")
     if code not in _FAMILY_FROM_CODE:
         raise ValueError(f"unknown family code {code}")
-    return GalerkinTensor(data.reshape(dim, dim, dim).copy()), _FAMILY_FROM_CODE[code]
+    dense = data.reshape(dim, dim, dim)
+    i, j, k = np.nonzero(dense)
+    return GalerkinTensor.from_triples(dim, i, j, k, dense[i, j, k]), _FAMILY_FROM_CODE[code]

@@ -62,6 +62,51 @@ def hermite_triple_analytic(i: int, j: int, k: int) -> float:
     return math.exp(log_value)
 
 
+def legendre_triple_analytic(i: int, j: int, k: int) -> float:
+    """Closed-form <p_i p_j, p_k> for Legendre polynomials orthonormal under U(-1, 1).
+
+    Adams' formula: with i + j + k = 2s even, the triangle inequality holding
+    and A(n) = C(2n, n) / 4^n, the classical integral over dx / 2 is
+    A(s-i) A(s-j) A(s-k) / (A(s) (2s + 1)); each factor is scaled by sqrt(2n + 1).
+    """
+    total = i + j + k
+    if total % 2:
+        return 0.0
+    s = total // 2
+    if s < i or s < j or s < k:
+        return 0.0
+
+    def central(n: int) -> float:
+        return math.comb(2 * n, n) / 4.0**n
+
+    classical = central(s - i) * central(s - j) * central(s - k) / (central(s) * (2 * s + 1))
+    return classical * math.sqrt((2 * i + 1) * (2 * j + 1) * (2 * k + 1))
+
+
+def dense_triple_tensor(index_array: np.ndarray, family: str) -> np.ndarray:
+    """Dense G_ijk = <p_i p_j p_k> of a multi-index basis from the closed forms.
+
+    ``family`` is "hermite" or "legendre"; every entry is the product of the
+    univariate closed forms over the dimensions.
+    """
+    triple = {"hermite": hermite_triple_analytic, "legendre": legendre_triple_analytic}[family]
+    deg = np.asarray(index_array)
+    top = int(deg.max()) + 1
+    table = np.array(
+        [[[triple(a, b, c) for c in range(top)] for b in range(top)] for a in range(top)]
+    )
+    dense = np.ones((deg.shape[0],) * 3)
+    for d in range(deg.shape[1]):
+        col = deg[:, d]
+        dense *= table[col[:, None, None], col[None, :, None], col[None, None, :]]
+    return dense
+
+
+def dense_contract(dense: np.ndarray, coeff: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """out[n, k] = sum_ij G_ijk coeff[n, i] u[n, j] by a plain einsum over the dense G."""
+    return np.einsum("ijk,ni,nj->nk", dense, coeff, u)
+
+
 def trapezoid_normal_projection(g, k: int, radius: float = 12.0, n: int = 1_200_001) -> float:
     """Dense-trapezoid value of int g(y) h_k(y) dN(0,1)(y) over [-radius, radius]."""
     y = np.linspace(-radius, radius, n)
@@ -119,6 +164,32 @@ def dense_from_upper_band(band: np.ndarray) -> np.ndarray:
     return dense
 
 
+class AffineField:
+    """Stand-in for a SpectralField with positive coefficients affine in x.
+
+    a_k(x) = c_k + s_k . x and f_k(x) = e_k + t_k . x, with c and e drawn from
+    [1, 2) and s and t from [0, 1), so every contraction of them with positive
+    arrays is a sum of positive terms.
+    """
+
+    def __init__(self, size: int, spatial_dim: int, seed: int) -> None:
+        rng = np.random.default_rng(seed)
+        self.size = size
+        self.spatial_dim = spatial_dim
+        self._a = rng.uniform(1.0, 2.0, size), rng.uniform(0.0, 1.0, (spatial_dim, size))
+        self._f = rng.uniform(1.0, 2.0, size), rng.uniform(0.0, 1.0, (spatial_dim, size))
+
+    def coeff_values(self, x):
+        return self._a[0] + np.atleast_2d(x) @ self._a[1]
+
+    def coeff_grads(self, x):
+        n = np.atleast_2d(x).shape[0]
+        return np.broadcast_to(self._a[1].T, (n, self.size, self.spatial_dim)).copy()
+
+    def forcing_values(self, x):
+        return self._f[0] + np.atleast_2d(x) @ self._f[1]
+
+
 class ExactCoefficientNet:
     """Duck-typed branch set with hard-wired coefficient functions.
 
@@ -147,3 +218,8 @@ class ExactCoefficientNet:
         record.laplacian = self._lap(x) if order >= 2 and self._lap is not None else None
         record.n_points = x.shape[0]
         return record
+
+    def param_grad(self, record, d_value=None, d_grad=None, d_lap=None):
+        """Keep the cotangents a risk passes in ``cotangents``; there are no parameters."""
+        self.cotangents = {"value": d_value, "grad": d_grad, "lap": d_lap}
+        return np.zeros(0)

@@ -157,6 +157,21 @@ class TestRunner:
         history = (out / "history_exp1_ritz_N1_P0.csv").read_text().splitlines()
         assert history[0] == "epoch,risk,lr,validation,seconds"
 
+    @pytest.mark.parametrize(
+        "experiment, reference", [("exp2", "analytic"), ("exp3", "analytic"), ("exp2", "coupled")]
+    )
+    def test_impossible_reference_fails_before_any_output(self, tmp_path, capsys, experiment, reference):
+        path = write_config(
+            tmp_path / "c.yaml",
+            experiment=experiment,
+            N=2,
+            P=1,
+            metric={"n_mc": 60, "reference": reference},
+        )
+        assert main(["run", str(path)]) == EXIT_CONFIG
+        assert "config error:" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "results.csv").exists()
+
     def test_training_abort_keeps_partial_results(self, tmp_path, monkeypatch):
         # The second training of the sweep diverges: run exits with code 3 and
         # results.csv keeps the header and the row of the first method.
@@ -282,6 +297,12 @@ class TestTensorCommand:
 
     def test_unknown_family(self, tmp_path):
         assert tensor_dump(1, 2, "jacobi", tmp_path / "g.bin", echo=lambda *_: None) == EXIT_CONFIG
+
+    def test_oversized_dense_dump_is_refused(self, tmp_path):
+        # N=16, P=6 has K=74,613: the dense cube would need 3.3 PB.
+        out = tmp_path / "g.bin"
+        assert main(["tensor", "16", "6", "hermite", "--out", str(out)]) == EXIT_CONFIG
+        assert not out.exists()
 
     def test_main_dispatch(self, tmp_path):
         out = tmp_path / "g.bin"

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse.linalg
-from oracles import dense_from_upper_band
+from oracles import AffineField, dense_from_upper_band, dense_triple_tensor
 
 from sgnet.fields import (
     draw_samples,
@@ -196,13 +196,27 @@ class TestCoupledSolver:
         u = sga_fem_coupled(mesh, field, tensor).coeffs[:, 1:-1].T.ravel()
         assert np.linalg.norm(u - expected) <= 1e-12 * np.linalg.norm(expected)
 
-    def test_band_matches_naive_element_assembly(self):
+    @pytest.mark.parametrize(
+        "n_dims, degree, family",
+        [
+            pytest.param(2, 2, PolyFamily.HERMITE, id="exp3-N2-P2"),
+            pytest.param(2, 3, PolyFamily.HERMITE, id="hermite-N2-P3"),
+            pytest.param(3, 2, PolyFamily.LEGENDRE, id="legendre-N3-P2"),
+        ],
+    )
+    def test_band_matches_naive_element_assembly(self, n_dims, degree, family):
         # Independent oracle: dense element-by-element accumulation of
         # int a_k G_kij phi_p' phi_q' over each element, with numpy's own
-        # 3-point Gauss-Legendre rule and the hat-function slopes -1/h, 1/h.
-        basis = total_degree_basis(2, 2, PolyFamily.HERMITE)
-        field = make_spectral_field(field_model("exp3", 2), basis)
+        # 3-point Gauss-Legendre rule, the hat-function slopes -1/h, 1/h and
+        # G from the closed forms.  The Hermite N=2, P=2 case is the exp3 field;
+        # the others use positive affine coefficients on every basis index.
+        basis = total_degree_basis(n_dims, degree, family)
+        if (n_dims, degree) == (2, 2):
+            field = make_spectral_field(field_model("exp3", 2), basis)
+        else:
+            field = AffineField(basis.size, 1, seed=degree)
         tensor = galerkin_tensor(basis)
+        dense_g = dense_triple_tensor(basis.index_array, family.value)
         mesh = Mesh1D(12)
         size = basis.size
         n_dof = (mesh.n_elem - 1) * size
@@ -218,7 +232,7 @@ class TestCoupledSolver:
                         continue
                     for i in range(size):
                         for j in range(size):
-                            a_ij = sum(a_int[k] * tensor.values[k, i, j] for k in range(size))
+                            a_ij = sum(a_int[k] * dense_g[k, i, j] for k in range(size))
                             expected[(p - 1) * size + i, (q - 1) * size + j] += (
                                 a_ij * slope_p * slope_q
                             )

@@ -15,8 +15,6 @@ from sgnet.solver import (
     TrainConfig,
     TrainingDivergedError,
     adam_step,
-    assemble_A,
-    assemble_B,
     default_validation_grid,
     ritz_risk,
     sobol_batch,
@@ -26,7 +24,13 @@ from sgnet.solver import (
 )
 from sgnet.spectral import PolyFamily, galerkin_tensor, total_degree_basis
 
-from oracles import ExactCoefficientNet, star_discrepancy_1d
+from oracles import (
+    AffineField,
+    ExactCoefficientNet,
+    dense_contract,
+    dense_triple_tensor,
+    star_discrepancy_1d,
+)
 
 
 def exp1_setup(max_degree):
@@ -35,6 +39,33 @@ def exp1_setup(max_degree):
     field = make_spectral_field(model, basis)
     tensor = galerkin_tensor(basis)
     return basis, model, field, tensor
+
+
+# Sparse-contraction cases: (N, P, family, spatial dimension) of an exp3-like
+# Hermite tensor and an exp2-like Legendre tensor on the unit square.
+SPARSE_CASES = {
+    "hermite-N2-P3": (2, 3, PolyFamily.HERMITE, 1),
+    "legendre-N3-P2-d2": (3, 2, PolyFamily.LEGENDRE, 2),
+}
+
+
+@pytest.fixture(params=sorted(SPARSE_CASES))
+def sparse_case(request):
+    n_dims, degree, family, dim = SPARSE_CASES[request.param]
+    basis = total_degree_basis(n_dims, degree, family)
+    return galerkin_tensor(basis), dense_triple_tensor(basis.index_array, family.value), dim
+
+
+def risk_setup(case):
+    """Field, tensor and spatial dimension of a gradient-check case."""
+    if case == "exp1":
+        _, _, field, tensor = exp1_setup(2)
+        return field, tensor, 1
+    if case == "exp3":
+        basis = total_degree_basis(2, 3, PolyFamily.HERMITE)
+        return make_spectral_field(field_model("exp3", 2), basis), galerkin_tensor(basis), 1
+    basis = total_degree_basis(3, 2, PolyFamily.LEGENDRE)
+    return AffineField(basis.size, 2, seed=4), galerkin_tensor(basis), 2
 
 
 def exp1_exact_net(forcing):
@@ -66,13 +97,20 @@ class TestStrongRisk:
         risk, _ = strong_risk(x, net, field, tensor, with_grad=False)
         assert risk == pytest.approx(float(np.mean(forcing**2)), rel=1e-13)
 
-    @pytest.mark.parametrize("loss", ["strong", "ritz"])
-    def test_risk_gradient_matches_parameter_fd(self, loss):
-        basis, _, field, tensor = exp1_setup(2)
-        spec = BranchSpec(1, (5, 4), ("swish", "sigmoid", "linear"))
-        net = MultiBranchNet(spec, n_branches=basis.size, seed=2)
+    @pytest.mark.parametrize(
+        "loss, case",
+        [
+            pytest.param(loss, case, id=loss if case == "exp1" else f"{loss}-{case}")
+            for case in ("exp1", "exp3", "exp2")
+            for loss in ("strong", "ritz")
+        ],
+    )
+    def test_risk_gradient_matches_parameter_fd(self, loss, case):
+        field, tensor, dim = risk_setup(case)
+        spec = BranchSpec(dim, (5, 4), ("swish", "sigmoid", "linear"))
+        net = MultiBranchNet(spec, n_branches=tensor.dim, seed=2)
         fn = strong_risk if loss == "strong" else ritz_risk
-        x = np.random.default_rng(0).uniform(0.1, 0.9, size=(9, 1))
+        x = np.random.default_rng(0).uniform(0.1, 0.9, size=(9, dim))
         theta0 = net.params_flat()
         _, grad = fn(x, net, field, tensor)
         rng = np.random.default_rng(1)
@@ -96,15 +134,40 @@ class TestStrongRisk:
         with pytest.raises(ValueError):
             strong_risk(np.array([[0.5]]), net, field, tensor)
 
-    def test_assembled_a_is_exactly_symmetric(self):
-        n_vars = 2
-        basis = total_degree_basis(n_vars, 2, PolyFamily.HERMITE)
-        model = field_model("exp3", n_vars)
-        field = make_spectral_field(model, basis)
-        tensor = galerkin_tensor(basis)
-        x = np.random.default_rng(3).uniform(0.05, 0.95, size=(11, 1))
-        a = assemble_A(tensor, field.coeff_values(x))
-        np.testing.assert_array_equal(a, np.transpose(a, (0, 2, 1)))
+    def test_contraction_is_self_adjoint(self, sparse_case):
+        # <C(a, u), v> = <u, C(a, v)> at every point, since G is symmetric.
+        tensor, _, _ = sparse_case
+        rng = np.random.default_rng(3)
+        a, u, v = rng.normal(size=(3, 11, tensor.dim))
+        lhs = np.sum(tensor.contract(a, u) * v, axis=1)
+        rhs = np.sum(u * tensor.contract(a, v), axis=1)
+        np.testing.assert_allclose(lhs, rhs, rtol=1e-12, atol=1e-12)
+
+    def test_residual_and_cotangents_match_dense_oracle(self, sparse_case):
+        # Positive inputs make every oracle sum a sum of positive terms, so the
+        # comparison is relative without an absolute floor.
+        tensor, dense, dim = sparse_case
+        n, size = 13, tensor.dim
+        rng = np.random.default_rng(5)
+        field = AffineField(size, dim, seed=6)
+        lap = rng.uniform(0.1, 1.0, (n, size))
+        grad = rng.uniform(0.1, 1.0, (n, size, dim))
+        net = ExactCoefficientNet(
+            value=lambda x: np.zeros((n, size)), grad=lambda x: grad, lap=lambda x: lap, n_branches=size
+        )
+        x = rng.uniform(0.0, 1.0, (n, dim))
+        risk, _ = strong_risk(x, net, field, tensor)
+        a, a_grads = field.coeff_values(x), field.coeff_grads(x)
+        residual = dense_contract(dense, a, lap) + field.forcing_values(x)
+        for d in range(dim):
+            residual += dense_contract(dense, a_grads[:, :, d], grad[:, :, d])
+        assert risk == pytest.approx(float(np.mean(residual**2)), rel=1e-13)
+        r_bar = residual * (2.0 / (n * size))
+        np.testing.assert_allclose(net.cotangents["lap"], dense_contract(dense, a, r_bar), rtol=1e-13)
+        for d in range(dim):
+            np.testing.assert_allclose(
+                net.cotangents["grad"][:, :, d], dense_contract(dense, a_grads[:, :, d], r_bar), rtol=1e-13
+            )
 
     def test_permutation_leaves_risk_essentially_unchanged(self):
         # Mathematical invariance; floating point reductions see the batch in
@@ -121,6 +184,24 @@ class TestStrongRisk:
 
 
 class TestRitzRisk:
+    def test_flux_matches_dense_oracle(self, sparse_case):
+        # Negative values keep both energy terms positive: no cancellation.
+        tensor, dense, dim = sparse_case
+        n, size = 13, tensor.dim
+        rng = np.random.default_rng(7)
+        field = AffineField(size, dim, seed=8)
+        value = -rng.uniform(0.1, 1.0, (n, size))
+        grad = rng.uniform(0.1, 1.0, (n, size, dim))
+        net = ExactCoefficientNet(value=lambda x: value, grad=lambda x: grad, n_branches=size)
+        x = rng.uniform(0.0, 1.0, (n, dim))
+        risk, _ = ritz_risk(x, net, field, tensor)
+        a, forcing = field.coeff_values(x), field.forcing_values(x)
+        flux = np.stack([dense_contract(dense, a, grad[:, :, d]) for d in range(dim)], axis=2)
+        energy = 0.5 * np.sum(grad * flux, axis=(1, 2)) - np.sum(forcing * value, axis=1)
+        assert risk == pytest.approx(float(np.mean(energy)), rel=1e-13)
+        np.testing.assert_allclose(net.cotangents["grad"], flux / n, rtol=1e-13)
+        np.testing.assert_allclose(net.cotangents["value"], -forcing / n, rtol=1e-15)
+
     def test_zero_net_has_zero_energy(self):
         basis, _, field, tensor = exp1_setup(4)
         spec = BranchSpec(1, (4,), ("swish", "linear"))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -11,7 +12,9 @@ from hypothesis import strategies as st
 
 from sgnet.spectral import (
     GalerkinTensor,
+    OrderedBasis,
     PolyFamily,
+    _univariate_triple_table,
     basis_dim,
     basis_matrix,
     enumerate_indices,
@@ -258,6 +261,67 @@ class TestGalerkinTensor:
             i, j, k = rng.integers(0, basis.size, size=3)
             direct = float(np.sum(weights * matrix[:, i] * matrix[:, j] * matrix[:, k]))
             assert tensor.values[i, j, k] == pytest.approx(direct, abs=1e-12)
+
+    @pytest.mark.parametrize("family", [PolyFamily.HERMITE, PolyFamily.LEGENDRE])
+    def test_triangle_violating_factors_are_exact_zeros(self, family):
+        table = _univariate_triple_table(family, 10)
+        for a, b, c in itertools.product(range(11), repeat=3):
+            if (a + b + c) % 2 == 0 and not abs(a - b) <= c <= a + b:
+                assert table[a, b, c] == 0.0, (a, b, c)
+
+    @pytest.mark.parametrize(
+        "families, max_degree",
+        [
+            ((PolyFamily.HERMITE,), 10),
+            ((PolyFamily.LEGENDRE,) * 3, 3),
+            ((PolyFamily.HERMITE, PolyFamily.LEGENDRE), 4),
+            ((PolyFamily.HERMITE,) * 6, 4),
+        ],
+    )
+    def test_entries_are_dimension_ordered_products(self, families, max_degree):
+        # Every entry, zero or not, equals bitwise the product of the univariate
+        # factors taken in dimension order, so the stored nonzeros are exactly
+        # the structural ones (30,562 at N=6, P=4).
+        indices = tuple(enumerate_indices(len(families), max_degree))
+        basis = OrderedBasis(len(families), max_degree, families, indices)
+        expected = np.ones((basis.size,) * 3)
+        for dim, family in enumerate(families):
+            table = _univariate_triple_table(family, max_degree)
+            deg = basis.index_array[:, dim]
+            expected *= table[deg[:, None, None], deg[None, :, None], deg[None, None, :]]
+        tensor = galerkin_tensor(basis)
+        np.testing.assert_array_equal(tensor.values, expected)
+        assert tensor.g.size == np.count_nonzero(expected)
+
+    def test_high_dimensional_build_stores_only_nonzeros(self):
+        # N=10, P=4 (K=1001): the dense cube would need 8 GB.
+        basis = total_degree_basis(10, 4, PolyFamily.HERMITE)
+        tensor = galerkin_tensor(basis)
+        deg = basis.index_array
+        size = basis.size
+
+        def analytic(i, j, k):
+            return math.prod(hermite_triple_analytic(*map(int, t)) for t in zip(deg[i], deg[j], deg[k]))
+
+        i, j, k, g = tensor.triples()
+        rng = np.random.default_rng(0)
+        for n in rng.choice(g.size, 200, replace=False):
+            assert g[n] == pytest.approx(analytic(i[n], j[n], k[n]), rel=1e-12)
+        stored = set(((i.astype(np.int64) * size + j) * size + k).tolist())
+        zeros = 0
+        while zeros < 200:
+            a, b, c = (int(v) for v in rng.integers(0, size, 3))
+            if analytic(a, b, c) == 0.0:
+                assert (a * size + b) * size + c not in stored
+                zeros += 1
+        stored_bytes = sum(v.nbytes for v in (tensor.pair_i, tensor.pair_j, tensor.indptr, tensor.k, tensor.g))
+        assert stored_bytes < 32e6
+
+    def test_dense_view_is_refused_beyond_physical_memory(self):
+        tensor = GalerkinTensor.from_triples(2**20, [0], [0], [0], [1.0])
+        assert tensor.contract(np.ones((1, 2**20)), np.ones((1, 2**20)))[0, 0] == 1.0
+        with pytest.raises(ValueError, match="physical memory"):
+            tensor.values
 
     def test_round_trip_dump(self, tmp_path):
         basis = total_degree_basis(2, 2, PolyFamily.LEGENDRE)
