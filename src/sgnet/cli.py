@@ -3,7 +3,8 @@
 A single YAML file describes one experiment sweep: which field model, which
 basis sizes, which training method, all schedule parameters and every seed.
 Running it trains the requested networks, measures their error against the
-configured reference and appends one row per run to ``results.csv``.
+configured reference in one Monte Carlo pass per (N, P) and appends one row
+per run to ``results.csv``.
 """
 
 from __future__ import annotations
@@ -68,6 +69,7 @@ RESULT_COLUMNS = (
     "seed_weights",
     "seed_sobol",
     "seed_mc",
+    "rel_error_se",
 )
 
 # Branch architectures used when the config does not specify one.
@@ -84,6 +86,10 @@ class ConfigError(ValueError):
     """Invalid or unreadable experiment configuration."""
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass
 class MetricConfig:
     n_mc: int = 10_000
@@ -92,8 +98,12 @@ class MetricConfig:
     mesh: int | None = None
 
     def __post_init__(self) -> None:
-        if self.n_mc < 1:
-            raise ConfigError("metric.n_mc must be positive")
+        if not _is_int(self.n_mc) or self.n_mc < 1:
+            raise ConfigError("metric.n_mc must be a positive integer")
+        for name in ("grid_points", "mesh"):
+            value = getattr(self, name)
+            if value is not None and (not _is_int(value) or value < 2):
+                raise ConfigError(f"metric.{name} must be an integer of at least 2")
         if self.reference is not None and self.reference not in ("analytic", "fem", "coupled"):
             raise ConfigError(f"unknown metric.reference {self.reference!r}")
 
@@ -160,13 +170,9 @@ class ExperimentConfig:
 
 
 def _as_int_tuple(value, name: str) -> tuple[int, ...]:
-    if isinstance(value, bool):
-        raise ConfigError(f"{name} must be an integer or list of integers")
-    if isinstance(value, int):
+    if _is_int(value):
         return (value,)
-    if isinstance(value, (list, tuple)) and value and all(
-        isinstance(v, int) and not isinstance(v, bool) for v in value
-    ):
+    if isinstance(value, (list, tuple)) and value and all(_is_int(v) for v in value):
         return tuple(value)
     raise ConfigError(f"{name} must be an integer or list of integers")
 
@@ -251,14 +257,14 @@ def load_config(path: str | Path) -> ExperimentConfig:
     unknown = set(seeds) - {"weights", "sobol", "mc", "validation"}
     if unknown:
         raise ConfigError(f"unknown seed keys: {sorted(unknown)}")
-    kwargs["seed_weights"] = int(seeds.get("weights", 1))
-    kwargs["seed_mc"] = int(seeds.get("mc", 1))
-    if "sobol" in seeds:
-        kwargs["train"] = dataclasses.replace(kwargs["train"], seed_sobol=int(seeds["sobol"]))
-    if "validation" in seeds:
-        kwargs["train"] = dataclasses.replace(
-            kwargs["train"], seed_validation=int(seeds["validation"])
-        )
+    for key, value in seeds.items():
+        if not _is_int(value) or value < 0:
+            raise ConfigError(f"seeds.{key} must be a non-negative integer")
+    kwargs["seed_weights"] = seeds.get("weights", 1)
+    kwargs["seed_mc"] = seeds.get("mc", 1)
+    kwargs["train"] = dataclasses.replace(
+        kwargs["train"], **{f"seed_{key}": seeds[key] for key in ("sobol", "validation") if key in seeds}
+    )
 
     for key in ("weighting", "output_scale"):
         if key in raw:
@@ -315,6 +321,8 @@ def run(config: ExperimentConfig, echo=print) -> int:
                     train_field if config.weighting == "none" else make_spectral_field(model, basis)
                 )
                 grid, ref_eval = _reference(config, model, basis, tensor, train_field, reference)
+                trained, surrogates = {}, {}
+                diverged = None
                 for method in config.methods:
                     tag = f"{config.experiment}_{method}_N{n_vars}_P{degree}"
                     echo(f"[{tag}] training {basis.size} branches")
@@ -328,53 +336,67 @@ def run(config: ExperimentConfig, echo=print) -> int:
                     loss_kind = "strong" if method == "galerkin" else "ritz"
                     # The strong residual is posed with unweighted operators.
                     field_for_loss = plain_field if loss_kind == "strong" else train_field
-                    result = train(
-                        net,
-                        loss_kind,
-                        field_for_loss,
-                        tensor,
-                        config.train,
-                        validation_field=plain_field,
-                        history_path=out_dir / f"history_{tag}.csv",
-                        checkpoint_dir=(
-                            out_dir / f"checkpoints_{tag}"
-                            if config.train.checkpoint_interval
-                            else None
-                        ),
-                    )
+                    try:
+                        result = train(
+                            net,
+                            loss_kind,
+                            field_for_loss,
+                            tensor,
+                            config.train,
+                            validation_field=plain_field,
+                            history_path=out_dir / f"history_{tag}.csv",
+                            checkpoint_dir=(
+                                out_dir / f"checkpoints_{tag}"
+                                if config.train.checkpoint_interval
+                                else None
+                            ),
+                        )
+                    except TrainingDivergedError as exc:
+                        # The methods trained so far are still evaluated and recorded.
+                        diverged = exc
+                        break
                     net.save(out_dir / f"net_{tag}.npz")
-                    report = rel_h1_error(
+                    trained[method] = (tag, result)
+                    # Only the trained coefficients on the metric grid outlive the network.
+                    surrogates[method] = net_evaluator(net, basis, grid, scale=config.output_scale)
+                if trained:
+                    reports = rel_h1_error(
                         ref_eval,
-                        net_evaluator(net, basis, grid, scale=config.output_scale),
+                        surrogates,
                         grid,
                         model,
                         n_mc=config.metric.n_mc,
                         seed=config.seed_mc,
                     )
-                    echo(
-                        f"[{tag}] rel_error={report.rel_error:.4%} "
-                        f"epochs={result.epochs} seconds={result.train_seconds:.1f}"
-                    )
-                    writer.writerow(
-                        [
-                            config.experiment,
-                            method,
-                            n_vars,
-                            degree,
-                            basis.size,
-                            repr(report.rel_error),
-                            repr(report.numerator),
-                            repr(report.denominator),
-                            repr(result.train_seconds),
-                            result.epochs,
-                            repr(result.final_risk),
-                            repr(result.final_validation),
-                            config.seed_weights,
-                            config.train.seed_sobol,
-                            config.seed_mc,
-                        ]
-                    )
-                    handle.flush()
+                    for method, (tag, result) in trained.items():
+                        report = reports[method]
+                        echo(
+                            f"[{tag}] rel_error={report.rel_error:.4%} "
+                            f"epochs={result.epochs} seconds={result.train_seconds:.1f}"
+                        )
+                        writer.writerow(
+                            [
+                                config.experiment,
+                                method,
+                                n_vars,
+                                degree,
+                                basis.size,
+                                repr(report.rel_error),
+                                repr(report.numerator),
+                                repr(report.denominator),
+                                repr(result.train_seconds),
+                                result.epochs,
+                                repr(result.final_risk),
+                                repr(result.final_validation),
+                                config.seed_weights,
+                                config.train.seed_sobol,
+                                config.seed_mc,
+                                repr(report.mc_standard_error),
+                            ]
+                        )
+                handle.flush()
+                if diverged is not None:
+                    raise diverged
     except TrainingDivergedError as exc:
         echo(f"training aborted: {exc}")
         handle.close()

@@ -1,16 +1,17 @@
-"""Relative L2(Omega; H1) distance between a reference and a surrogate solution.
+"""Relative L2(Omega; H1) distance between a reference and surrogate solutions.
 
 Spatial integrals use a composite trapezoid rule on a fixed grid, stochastic
-integrals a fixed-seed Monte Carlo average.  Both solutions are supplied as
+integrals a fixed-seed Monte Carlo average.  All solutions are supplied as
 batch evaluators mapping realizations to values and gradients on the grid, so
 the same machinery compares networks against analytic, pathwise-FEM and
-coupled-FEM references.
+coupled-FEM references.  One Monte Carlo pass evaluates the reference once
+per sample for every surrogate.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -23,7 +24,6 @@ __all__ = [
     "SpatialGrid",
     "ErrorReport",
     "uniform_grid_1d",
-    "uniform_grid_2d",
     "midpoint_grid",
     "rel_h1_error",
     "exact_exp1_evaluator",
@@ -61,14 +61,6 @@ def uniform_grid_1d(n_points: int = 257) -> SpatialGrid:
     return SpatialGrid(axis[:, None], _trapezoid_weights(axis), f"uniform:{n_points}")
 
 
-def uniform_grid_2d(n_points: int = 65) -> SpatialGrid:
-    axis = np.linspace(0.0, 1.0, n_points)
-    w = _trapezoid_weights(axis)
-    xx, yy = np.meshgrid(axis, axis, indexing="ij")
-    points = np.stack([xx.ravel(), yy.ravel()], axis=1)
-    return SpatialGrid(points, np.outer(w, w).ravel(), f"uniform:{n_points}x{n_points}")
-
-
 def midpoint_grid(mesh: Mesh1D | Mesh2D) -> SpatialGrid:
     """Element midpoints of a mesh, where FEM gradients are single-valued."""
     if isinstance(mesh, Mesh1D):
@@ -83,7 +75,10 @@ def midpoint_grid(mesh: Mesh1D | Mesh2D) -> SpatialGrid:
 
 @dataclass(frozen=True)
 class ErrorReport:
-    """Relative H1 error with its Monte Carlo ingredients."""
+    """Relative H1 error with its Monte Carlo ingredients.
+
+    ``mc_standard_error`` is the delta-method standard error of ``rel_error``.
+    """
 
     rel_error: float
     numerator: float
@@ -93,51 +88,59 @@ class ErrorReport:
     mc_standard_error: float
 
 
+def _h1_terms(value: np.ndarray, grad: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Squared H1 norm of each realization, by the trapezoid rule on the grid."""
+    return (value * value + np.einsum("mld,mld->ml", grad, grad)) @ w
+
+
+def _report(
+    numerator_terms: np.ndarray, denominator_terms: np.ndarray, grid: SpatialGrid
+) -> ErrorReport:
+    n_mc = numerator_terms.size
+    numerator = float(np.mean(numerator_terms))
+    denominator = float(np.mean(denominator_terms))
+    rel = float(np.sqrt(numerator / denominator))
+    std_err = 0.0
+    if n_mc > 1 and rel > 0.0:
+        # Linearization of sqrt(mean N / mean D) about the sample means.
+        z = (numerator_terms - rel * rel * denominator_terms) / (2.0 * rel * denominator)
+        std_err = float(np.std(z, ddof=1) / np.sqrt(n_mc))
+    return ErrorReport(rel, numerator, denominator, n_mc, grid.label, std_err)
+
+
 def rel_h1_error(
     reference: PathwiseEvaluator,
-    surrogate: PathwiseEvaluator,
+    surrogates: Mapping[str, PathwiseEvaluator],
     grid: SpatialGrid,
     model: FieldModel,
     n_mc: int = 10_000,
     seed: int = 0,
     chunk: int = 512,
-) -> ErrorReport:
-    """Monte Carlo estimate of ||u - v|| / ||u|| in the L2(Omega; H1) norm.
+) -> dict[str, ErrorReport]:
+    """Monte Carlo estimate of ||u - v|| / ||u|| in the L2(Omega; H1) norm, per surrogate.
 
-    Per realization, the squared H1 distance and the squared H1 norm of the
-    reference are integrated on the grid by the trapezoid rule; both are then
-    averaged over realizations and the ratio of square roots is returned.
+    Per realization, the squared H1 distance of every surrogate v and the
+    squared H1 norm of the reference u are integrated on the grid by the
+    trapezoid rule; both are then averaged over realizations and the ratio of
+    square roots is reported.  Each chunk of realizations reaches the
+    reference once, whatever the number of surrogates.
     """
     rng = np.random.default_rng(seed)
     samples = draw_samples(model.family, model.n_vars, n_mc, rng)
-    numerator_terms = np.empty(n_mc)
+    numerator_terms = {name: np.empty(n_mc) for name in surrogates}
     denominator_terms = np.empty(n_mc)
     w = grid.weights
     for start in range(0, n_mc, chunk):
         block = samples[start : start + chunk]
+        rows = slice(start, start + block.shape[0])
         u, du = reference(block)
-        v, dv = surrogate(block)
-        diff = u - v
-        diff_grad = du - dv
-        numerator_terms[start : start + block.shape[0]] = (
-            diff * diff + np.einsum("mld,mld->ml", diff_grad, diff_grad)
-        ) @ w
-        denominator_terms[start : start + block.shape[0]] = (
-            u * u + np.einsum("mld,mld->ml", du, du)
-        ) @ w
-    numerator = float(np.mean(numerator_terms))
-    denominator = float(np.mean(denominator_terms))
-    if denominator <= 0.0:
+        denominator_terms[rows] = _h1_terms(u, du, w)
+        for name, surrogate in surrogates.items():
+            v, dv = surrogate(block)
+            numerator_terms[name][rows] = _h1_terms(u - v, du - dv, w)
+    if np.mean(denominator_terms) <= 0.0:
         raise ValueError("degenerate reference: zero H1 norm")
-    std_err = float(np.std(numerator_terms, ddof=1) / np.sqrt(n_mc)) if n_mc > 1 else 0.0
-    return ErrorReport(
-        rel_error=float(np.sqrt(numerator / denominator)),
-        numerator=numerator,
-        denominator=denominator,
-        n_mc=n_mc,
-        grid=grid.label,
-        mc_standard_error=std_err,
-    )
+    return {name: _report(terms, denominator_terms, grid) for name, terms in numerator_terms.items()}
 
 
 # -- evaluators ---------------------------------------------------------------------
@@ -156,45 +159,39 @@ def exact_exp1_evaluator(grid: SpatialGrid) -> PathwiseEvaluator:
     return evaluate
 
 
-def net_evaluator(
-    net: MultiBranchNet, basis: OrderedBasis, grid: SpatialGrid, scale: float = 1.0
+def _spectral_reconstruction(
+    basis: OrderedBasis, values: np.ndarray, grads: np.ndarray
 ) -> PathwiseEvaluator:
-    """Reconstruction sum_k U_k(x) p_k(y) of a trained network on the grid."""
-    record = net.evaluate(grid.points, order=1)
-    values = scale * record.value  # (L, K)
-    grads = scale * record.grad  # (L, K, d)
+    """Evaluator of sum_k U_k(x) p_k(y) from branch values (L, K) and gradients (L, K, d)."""
 
     def evaluate(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         p = basis_matrix(basis, samples)
         return p @ values.T, np.einsum("mk,lkd->mld", p, grads)
 
     return evaluate
+
+
+def net_evaluator(
+    net: MultiBranchNet, basis: OrderedBasis, grid: SpatialGrid, scale: float = 1.0
+) -> PathwiseEvaluator:
+    """Reconstruction sum_k U_k(x) p_k(y) of a trained network on the grid."""
+    record = net.evaluate(grid.points, order=1)
+    return _spectral_reconstruction(basis, scale * record.value, scale * record.grad)
 
 
 def coupled_evaluator(
     solution: CoupledSolution, basis: OrderedBasis, grid: SpatialGrid
 ) -> PathwiseEvaluator:
     """Reconstruction of a coupled-FEM solution, linear in space on each element."""
-    mesh = solution.mesh
-    x = grid.points[:, 0]
-    elem = np.clip((x / mesh.h).astype(int), 0, mesh.n_elem - 1)
-    t = (x - mesh.nodes[elem]) / mesh.h
-    left = solution.coeffs[:, elem]
-    right = solution.coeffs[:, elem + 1]
-    values = ((1.0 - t) * left + t * right).T  # (L, K)
-    grads = ((right - left) / mesh.h).T[:, :, None]  # (L, K, 1)
-
-    def evaluate(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        p = basis_matrix(basis, samples)
-        return p @ values.T, np.einsum("mk,lkd->mld", p, grads)
-
-    return evaluate
+    values, grads = _interp_1d(solution.mesh, solution.coeffs, grid.points[:, 0])
+    return _spectral_reconstruction(basis, values.T, grads.T[:, :, None])
 
 
 def _interp_1d(mesh: Mesh1D, nodal: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """P1 interpolant and its slope at ``x``, for nodal values along the last axis."""
     elem = np.clip((x / mesh.h).astype(int), 0, mesh.n_elem - 1)
     t = (x - mesh.nodes[elem]) / mesh.h
-    left, right = nodal[elem], nodal[elem + 1]
+    left, right = nodal[..., elem], nodal[..., elem + 1]
     return (1.0 - t) * left + t * right, (right - left) / mesh.h
 
 

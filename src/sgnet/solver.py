@@ -153,12 +153,9 @@ def validation_error(
     return total / (n_samples * x_grid.shape[0])
 
 
-def default_validation_grid(spatial_dim: int, n_points: int | None = None) -> np.ndarray:
+def default_validation_grid(spatial_dim: int) -> np.ndarray:
     """Deterministic Sobol point set used for the validation residual."""
-    if n_points is None:
-        n_points = 128 if spatial_dim == 1 else 1024
-    stream = SobolStream(spatial_dim, skip=1)
-    return stream.next(n_points)
+    return SobolStream(spatial_dim, skip=1).next(128 if spatial_dim == 1 else 1024)
 
 
 # -- quasi-random sampling ---------------------------------------------------------
@@ -250,7 +247,6 @@ class TrainConfig:
     risk_threshold: float | None = 1e-7
     validation_interval: int = 10
     validation_samples: int = 10_000
-    validation_points: int | None = None
     seed_sobol: int = 1
     seed_validation: int = 0
     checkpoint_interval: int | None = None
@@ -333,7 +329,7 @@ def train(
     state = AdamState.zeros(net.n_params)
     theta = net.params_flat()
     lo, hi = np.zeros(dim), np.ones(dim)
-    grid = default_validation_grid(dim, config.validation_points)
+    grid = default_validation_grid(dim)
 
     if history_path is not None:
         history_path = Path(history_path)

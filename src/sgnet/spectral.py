@@ -15,7 +15,7 @@ import struct
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
@@ -27,17 +27,13 @@ __all__ = [
     "OrderedBasis",
     "GalerkinTensor",
     "basis_dim",
-    "graded_lex_less",
     "enumerate_indices",
-    "eval_univariate",
     "univariate_table",
-    "eval_tensor_poly",
     "basis_matrix",
     "total_degree_basis",
     "gauss_rule",
     "tensor_gauss_rule",
     "kink_split_normal_rule",
-    "project_1d",
     "galerkin_tensor",
     "require_dense_fits",
     "save_tensor",
@@ -63,20 +59,6 @@ def basis_dim(n_dims: int, max_degree: int) -> int:
     if n_dims < 1 or max_degree < 0:
         raise ValueError(f"invalid basis shape: N={n_dims}, P={max_degree}")
     return math.comb(n_dims + max_degree, max_degree)
-
-
-def graded_lex_less(nu1: Sequence[int], nu2: Sequence[int]) -> bool:
-    """Strict graded lexicographic comparison of two equal-length multi-indices.
-
-    Orders first by total degree, then lexicographically on the first
-    differing entry (smaller entry first).
-    """
-    if len(nu1) != len(nu2):
-        raise ValueError(f"length mismatch: {len(nu1)} vs {len(nu2)}")
-    d1, d2 = sum(nu1), sum(nu2)
-    if d1 != d2:
-        return d1 < d2
-    return tuple(nu1) < tuple(nu2)
 
 
 def enumerate_indices(n_dims: int, max_degree: int) -> list[tuple[int, ...]]:
@@ -132,16 +114,6 @@ def univariate_table(family: PolyFamily, max_degree: int, y: np.ndarray) -> np.n
     if family is PolyFamily.HERMITE:
         return _hermite_table(max_degree, y)
     return _legendre_table(max_degree, y)
-
-
-def eval_univariate(family: PolyFamily, k: int, y):
-    """Value of the k-th orthonormal polynomial of ``family`` at ``y``."""
-    if k < 0:
-        raise ValueError("degree must be non-negative")
-    arr = np.asarray(y, dtype=float)
-    table = univariate_table(family, k, arr.ravel())
-    vals = table[:, k].reshape(arr.shape)
-    return float(vals) if arr.ndim == 0 else vals
 
 
 @dataclass(frozen=True)
@@ -214,15 +186,6 @@ def kink_split_normal_rule(
     return QuadratureRule(x, w)
 
 
-def project_1d(g: Callable[[np.ndarray], np.ndarray], family: PolyFamily, k: int, rule: QuadratureRule) -> float:
-    """Spectral coefficient <g, p_k> approximated with the given rule."""
-    values = np.asarray(g(rule.nodes), dtype=float)
-    if not np.all(np.isfinite(values)):
-        raise ValueError("integrand produced non-finite values at quadrature nodes")
-    basis_vals = univariate_table(family, k, rule.nodes)[:, k]
-    return float(np.sum(rule.weights * values * basis_vals))
-
-
 @dataclass(frozen=True)
 class OrderedBasis:
     """Truncated tensor-product basis in graded lexicographic order.
@@ -264,20 +227,6 @@ def total_degree_basis(n_dims: int, max_degree: int, family: PolyFamily) -> Orde
     """Homogeneous total-degree basis with the same family in every dimension."""
     indices = tuple(enumerate_indices(n_dims, max_degree))
     return OrderedBasis(n_dims, max_degree, (family,) * n_dims, indices)
-
-
-def eval_tensor_poly(basis: OrderedBasis, k: int, y: Sequence[float]) -> float:
-    """Value of the k-th tensor-product basis polynomial at a point of Gamma."""
-    if not 0 <= k < basis.size:
-        raise IndexError(f"basis index {k} out of range [0, {basis.size})")
-    y = np.asarray(y, dtype=float).ravel()
-    if y.size != basis.n_dims:
-        raise ValueError(f"point has {y.size} coordinates, basis has {basis.n_dims}")
-    nu = basis.indices[k]
-    value = 1.0
-    for dim in range(basis.n_dims):
-        value *= eval_univariate(basis.families[dim], nu[dim], float(y[dim]))
-    return value
 
 
 def basis_matrix(basis: OrderedBasis, samples: np.ndarray) -> np.ndarray:

@@ -33,6 +33,35 @@ def orthonormal_hermite(k: int, y: np.ndarray) -> np.ndarray:
     return probabilist_hermite_unnormalized(k, y) / math.sqrt(math.factorial(k))
 
 
+def orthonormal_legendre(k: int, y: np.ndarray) -> np.ndarray:
+    """sqrt(2k + 1) P_k(y) from numpy's Legendre series: orthonormal under U(-1, 1)."""
+    return math.sqrt(2 * k + 1) * np.polynomial.legendre.legval(y, [0.0] * k + [1.0])
+
+
+def eval_tensor_poly(basis, k: int, y) -> float:
+    """Value of the k-th basis polynomial at one point, as a product of the univariate oracles."""
+    if not 0 <= k < basis.size:
+        raise IndexError(f"basis index {k} out of range [0, {basis.size})")
+    y = np.asarray(y, dtype=float).ravel()
+    if y.size != basis.n_dims:
+        raise ValueError(f"point has {y.size} coordinates, basis has {basis.n_dims}")
+    value = 1.0
+    for family, degree, coord in zip(basis.families, basis.indices[k], y):
+        poly = orthonormal_hermite if family.value == "hermite" else orthonormal_legendre
+        value *= float(poly(degree, coord))
+    return value
+
+
+def graded_lex_less(nu1, nu2) -> bool:
+    """Strict graded lexicographic order: total degree first, then the first differing entry."""
+    if len(nu1) != len(nu2):
+        raise ValueError(f"length mismatch: {len(nu1)} vs {len(nu2)}")
+    d1, d2 = sum(nu1), sum(nu2)
+    if d1 != d2:
+        return d1 < d2
+    return tuple(nu1) < tuple(nu2)
+
+
 def physicist_hermite(k: int, z: np.ndarray) -> np.ndarray:
     """H_k by the plain recurrence H_{k+1} = 2z H_k - 2k H_{k-1}."""
     z = np.asarray(z, dtype=float)

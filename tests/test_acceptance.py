@@ -238,8 +238,8 @@ class TestCriterion4Exp1:
         for kind in ("strong", "ritz"):
             net, _, _ = exp1_trained[kind]
             rep = rel_h1_error(
-                reference, net_evaluator(net, basis, grid), grid, model, n_mc=20_000, seed=3
-            )
+                reference, {kind: net_evaluator(net, basis, grid)}, grid, model, n_mc=20_000, seed=3
+            )[kind]
             errors[kind] = rep.rel_error
         floor = math.sqrt((2.0 - float(np.sum(forcing**2))) / 2.0)
         report(
@@ -278,8 +278,8 @@ class TestCriterion4Exp1:
             assert training_error <= 0.02
             # Total error vs the analytic solution decomposes orthogonally.
             rep = rel_h1_error(
-                reference, net_evaluator(net, basis, grid), grid, model, n_mc=20_000, seed=3
-            )
+                reference, {kind: net_evaluator(net, basis, grid)}, grid, model, n_mc=20_000, seed=3
+            )[kind]
             floor = math.sqrt((2.0 - float(np.sum(forcing**2))) / 2.0)
             predicted = math.sqrt(floor**2 + training_error**2)
             assert rep.rel_error == pytest.approx(predicted, rel=0.06)

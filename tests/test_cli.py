@@ -22,6 +22,7 @@ from sgnet.cli import (
     run,
     tensor_dump,
 )
+from sgnet.fields import draw_samples
 from sgnet.solver import TrainingDivergedError
 from sgnet.spectral import PolyFamily, load_tensor
 
@@ -88,6 +89,10 @@ class TestConfigParsing:
         # Every domain is the unit interval or square, so its volume is not a setting.
         path.write_text("experiment: exp1\ntrain: {domain_volume: 1.0}\n")
         with pytest.raises(ConfigError, match="domain_volume"):
+            load_config(path)
+        # The validation grid is fixed per spatial dimension.
+        path.write_text("experiment: exp1\ntrain: {validation_points: 0}\n")
+        with pytest.raises(ConfigError, match="validation_points"):
             load_config(path)
 
     def test_exp2_requires_degree_one(self, tmp_path):
@@ -171,6 +176,56 @@ class TestRunner:
         assert main(["run", str(path)]) == EXIT_CONFIG
         assert "config error:" in capsys.readouterr().err
         assert not (tmp_path / "out" / "results.csv").exists()
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"metric": {"n_mc": "abc"}},
+            {"metric": {"n_mc": 0}},
+            {"metric": {"n_mc": 60.5}},
+            {"metric": {"n_mc": 60, "reference": "coupled", "mesh": 1}},
+            {"metric": {"n_mc": 60, "grid_points": 1}},
+            {"seeds": {"weights": "x"}},
+            {"seeds": {"mc": 1.5}},
+            {"seeds": {"sobol": -1}},
+        ],
+        ids=["n_mc-text", "n_mc-zero", "n_mc-float", "mesh-1", "grid-1", "seed-text", "seed-float", "seed-negative"],
+    )
+    def test_bad_metric_or_seed_fails_before_any_output(self, tmp_path, capsys, overrides):
+        path = write_config(tmp_path / "c.yaml", P=[0], **overrides)
+        assert main(["run", str(path)]) == EXIT_CONFIG
+        assert "config error:" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "results.csv").exists()
+
+    def test_each_sample_reaches_the_reference_once(self, tmp_path, monkeypatch):
+        # Both methods of an (N, P) entry are measured in one Monte Carlo pass:
+        # the entry's reference sees every sample exactly once.
+        config = load_config(write_config(tmp_path / "c.yaml"))
+        real_builder = sgnet.cli.exact_exp1_evaluator
+        seen = []  # the sample blocks each built reference was called on
+
+        def counting_builder(grid):
+            reference = real_builder(grid)
+            blocks = []
+            seen.append(blocks)
+
+            def counting(samples):
+                blocks.append(np.array(samples))
+                return reference(samples)
+
+            return counting
+
+        monkeypatch.setattr(sgnet.cli, "exact_exp1_evaluator", counting_builder)
+        assert run(config, echo=lambda *_: None) == 0
+        expected = draw_samples(
+            PolyFamily.HERMITE, 1, config.metric.n_mc, np.random.default_rng(config.seed_mc)
+        )
+        assert len(seen) == len(config.p_values)
+        for blocks in seen:
+            np.testing.assert_array_equal(np.concatenate(blocks), expected)
+        rows = read_results(Path(config.out_dir))
+        assert len(rows) == 2 * len(config.p_values)
+        assert all(float(row["rel_error_se"]) > 0.0 for row in rows)
 
     def test_training_abort_keeps_partial_results(self, tmp_path, monkeypatch):
         # The second training of the sweep diverges: run exits with code 3 and

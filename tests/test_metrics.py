@@ -16,7 +16,6 @@ from sgnet.metrics import (
     net_evaluator,
     rel_h1_error,
     uniform_grid_1d,
-    uniform_grid_2d,
 )
 from sgnet.reference import Mesh1D, sga_fem_coupled
 from sgnet.spectral import PolyFamily, basis_matrix, galerkin_tensor, total_degree_basis
@@ -39,7 +38,7 @@ class TestRelH1Error:
         model = field_model("exp1", 1)
         grid = uniform_grid_1d(129)
         reference = exact_exp1_evaluator(grid)
-        report = rel_h1_error(reference, reference, grid, model, n_mc=200, seed=0)
+        report = rel_h1_error(reference, {"u": reference}, grid, model, n_mc=200, seed=0)["u"]
         assert report.rel_error <= 1e-14
 
     def test_truncation_error_matches_parseval_tail(self):
@@ -71,7 +70,7 @@ class TestRelH1Error:
         den = ((u**2 + (du**2)[:, :, 0]) @ grid.weights) @ rule.weights
         assert math.sqrt(num / den) == pytest.approx(expected, rel=1e-6)
 
-        report = rel_h1_error(reference, surrogate, grid, model, n_mc=200_000, seed=1)
+        report = rel_h1_error(reference, {"v": surrogate}, grid, model, n_mc=200_000, seed=1)["v"]
         assert report.rel_error == pytest.approx(expected, rel=0.05)
 
     def test_reflection_symmetry(self):
@@ -88,8 +87,10 @@ class TestRelH1Error:
             v, dv = surrogate(samples)
             return 2 * u - v, 2 * du - dv
 
-        a = rel_h1_error(reference, surrogate, grid, model, n_mc=500, seed=3)
-        b = rel_h1_error(reference, reflected, grid, model, n_mc=500, seed=3)
+        reports = rel_h1_error(
+            reference, {"a": surrogate, "b": reflected}, grid, model, n_mc=500, seed=3
+        )
+        a, b = reports["a"], reports["b"]
         assert a.rel_error == pytest.approx(b.rel_error, rel=1e-12)
 
     def test_bitwise_determinism(self):
@@ -100,7 +101,7 @@ class TestRelH1Error:
         reports = [
             rel_h1_error(
                 exact_exp1_evaluator(grid),
-                net_evaluator(net, basis, grid),
+                {"net": net_evaluator(net, basis, grid)},
                 grid,
                 model,
                 n_mc=300,
@@ -114,18 +115,88 @@ class TestRelH1Error:
         model = field_model("exp1", 1)
         grid = uniform_grid_1d(65)
         reference = exact_exp1_evaluator(grid)
-
-        def zero(samples):
-            m = samples.shape[0]
-            return np.zeros((m, 65)), np.zeros((m, 65, 1))
+        surrogate = net_evaluator(
+            truncated_exact_net(2), total_degree_basis(1, 2, PolyFamily.HERMITE), grid
+        )
 
         sizes = (100, 1_000, 10_000)
-        errors = [
-            rel_h1_error(reference, zero, grid, model, n_mc=n, seed=8).mc_standard_error
+        reports = [
+            rel_h1_error(reference, {"v": surrogate}, grid, model, n_mc=n, seed=8)["v"]
             for n in sizes
         ]
+        errors = [r.mc_standard_error for r in reports]
         slope = np.polyfit(np.log(sizes), np.log(errors), 1)[0]
         assert slope == pytest.approx(-0.5, abs=0.15)
+
+    def test_standard_error_matches_spread_over_seeds(self):
+        # Oracle: the empirical standard deviation of rel_error over S
+        # independent Monte Carlo seeds.  For near-normal estimates the sample
+        # SD of S draws has relative standard deviation 1 / sqrt(2 (S - 1)),
+        # 0.050 at S = 200, so the mean reported SE must agree with it within
+        # three of those (the spread of the mean reported SE is far smaller).
+        # The degree-2 truncation keeps the per-sample terms light-tailed, so
+        # the estimates are near normal at n_mc = 4000.
+        seeds = 200
+        model = field_model("exp1", 1)
+        grid = uniform_grid_1d(65)
+        reference = exact_exp1_evaluator(grid)
+        surrogate = net_evaluator(
+            truncated_exact_net(2), total_degree_basis(1, 2, PolyFamily.HERMITE), grid
+        )
+        reports = [
+            rel_h1_error(reference, {"v": surrogate}, grid, model, n_mc=4_000, seed=seed)["v"]
+            for seed in range(seeds)
+        ]
+        empirical = np.std([r.rel_error for r in reports], ddof=1)
+        reported = np.mean([r.mc_standard_error for r in reports])
+        assert reported == pytest.approx(empirical, rel=3.0 / math.sqrt(2 * (seeds - 1)))
+
+    def test_exact_surrogate_has_zero_standard_error(self):
+        model = field_model("exp1", 1)
+        grid = uniform_grid_1d(33)
+        reference = exact_exp1_evaluator(grid)
+        report = rel_h1_error(reference, {"u": reference}, grid, model, n_mc=50, seed=0)["u"]
+        assert report.rel_error == 0.0 and report.mc_standard_error == 0.0
+
+    def test_proportional_surrogate_has_zero_standard_error(self):
+        # v = c u has the ratio (1 - c)^2 on every realization, so rel_error is
+        # |1 - c| for every seed and its standard error vanishes; an SE that
+        # ignores the covariance of numerator and denominator would not.
+        model = field_model("exp1", 1)
+        grid = uniform_grid_1d(65)
+        reference = exact_exp1_evaluator(grid)
+
+        def scaled(samples):
+            u, du = reference(samples)
+            return 0.3 * u, 0.3 * du
+
+        report = rel_h1_error(reference, {"v": scaled}, grid, model, n_mc=500, seed=2)["v"]
+        assert report.rel_error == pytest.approx(0.7, rel=1e-14)
+        assert report.mc_standard_error <= 1e-12
+
+    def test_one_pass_matches_separate_passes(self):
+        # Every surrogate of one pass gets the report a pass of its own gives,
+        # bitwise, while each sample reaches the reference once.
+        model = field_model("exp1", 1)
+        grid = uniform_grid_1d(65)
+        reference = exact_exp1_evaluator(grid)
+        surrogates = {
+            f"P{degree}": net_evaluator(
+                truncated_exact_net(degree), total_degree_basis(1, degree, PolyFamily.HERMITE), grid
+            )
+            for degree in (2, 4)
+        }
+        seen = []
+
+        def counting(samples):
+            seen.append(samples.shape[0])
+            return reference(samples)
+
+        joint = rel_h1_error(counting, surrogates, grid, model, n_mc=700, seed=9, chunk=256)
+        assert seen == [256, 256, 188]
+        for name, surrogate in surrogates.items():
+            alone = rel_h1_error(reference, {name: surrogate}, grid, model, n_mc=700, seed=9, chunk=256)
+            assert joint[name] == alone[name]
 
     def test_grid_refinement_stability(self):
         model = field_model("exp1", 1)
@@ -136,12 +207,12 @@ class TestRelH1Error:
             grid = uniform_grid_1d(n_points)
             report = rel_h1_error(
                 exact_exp1_evaluator(grid),
-                net_evaluator(net, basis, grid),
+                {"net": net_evaluator(net, basis, grid)},
                 grid,
                 model,
                 n_mc=2_000,
                 seed=2,
-            )
+            )["net"]
             values.append(report.rel_error)
         assert abs(values[1] - values[0]) / values[0] < 1e-3
 
@@ -156,12 +227,12 @@ class TestRelH1Error:
         for grid in (uniform_grid_1d(101), midpoint_grid(Mesh1D(173))):
             report = rel_h1_error(
                 exact_exp1_evaluator(grid),
-                net_evaluator(net, basis, grid),
+                {"net": net_evaluator(net, basis, grid)},
                 grid,
                 model,
                 n_mc=400,
                 seed=4,
-            )
+            )["net"]
             values.append(report.rel_error)
         assert values[0] == pytest.approx(values[1], abs=1e-6)
 
@@ -174,7 +245,7 @@ class TestRelH1Error:
             return np.zeros((m, 33)), np.zeros((m, 33, 1))
 
         with pytest.raises(ValueError):
-            rel_h1_error(zero, zero, grid, model, n_mc=50, seed=0)
+            rel_h1_error(zero, {"zero": zero}, grid, model, n_mc=50, seed=0)
 
 
 class TestEvaluators:
@@ -184,12 +255,12 @@ class TestEvaluators:
         grid = midpoint_grid(mesh)
         report = rel_h1_error(
             exact_exp1_evaluator(grid),
-            fem_evaluator(model, mesh, grid),
+            {"fem": fem_evaluator(model, mesh, grid)},
             grid,
             model,
             n_mc=40,
             seed=6,
-        )
+        )["fem"]
         assert report.rel_error < 5e-3
 
     def test_coupled_evaluator_matches_truncated_exact(self):
@@ -204,18 +275,13 @@ class TestEvaluators:
         net = truncated_exact_net(max_degree)
         report = rel_h1_error(
             net_evaluator(net, basis, grid),
-            coupled_evaluator(solution, basis, grid),
+            {"coupled": coupled_evaluator(solution, basis, grid)},
             grid,
             model,
             n_mc=100,
             seed=7,
-        )
+        )["coupled"]
         assert report.rel_error < 2e-3
-
-    def test_2d_grid_weights_sum_to_area(self):
-        grid = uniform_grid_2d(17)
-        assert grid.weights.sum() == pytest.approx(1.0, abs=1e-12)
-        assert grid.points.shape == (17 * 17, 2)
 
     def test_output_scale_is_applied(self):
         basis = total_degree_basis(1, 3, PolyFamily.HERMITE)

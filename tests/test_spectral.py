@@ -18,14 +18,10 @@ from sgnet.spectral import (
     basis_dim,
     basis_matrix,
     enumerate_indices,
-    eval_tensor_poly,
-    eval_univariate,
     galerkin_tensor,
     gauss_rule,
-    graded_lex_less,
     kink_split_normal_rule,
     load_tensor,
-    project_1d,
     save_tensor,
     tensor_gauss_rule,
     total_degree_basis,
@@ -33,6 +29,8 @@ from sgnet.spectral import (
 )
 
 from oracles import (
+    eval_tensor_poly,
+    graded_lex_less,
     hermite_triple_analytic,
     norm_cdf,
     norm_pdf,
@@ -43,37 +41,38 @@ from oracles import (
 
 class TestUnivariate:
     def test_degree_zero_is_one(self):
-        assert eval_univariate(PolyFamily.HERMITE, 0, 3.7) == 1.0
-        assert eval_univariate(PolyFamily.LEGENDRE, 0, -0.2) == 1.0
+        assert univariate_table(PolyFamily.HERMITE, 0, 3.7)[0, 0] == 1.0
+        assert univariate_table(PolyFamily.LEGENDRE, 0, -0.2)[0, 0] == 1.0
 
     def test_hermite_degree_two(self):
         # h_2(y) = (y^2 - 1) / sqrt(2), unrolled from the recurrence.
-        assert eval_univariate(PolyFamily.HERMITE, 2, 0.0) == pytest.approx(
+        assert univariate_table(PolyFamily.HERMITE, 2, 0.0)[0, 2] == pytest.approx(
             -1.0 / math.sqrt(2.0), abs=1e-15
         )
         y = np.linspace(-3, 3, 11)
         np.testing.assert_allclose(
-            eval_univariate(PolyFamily.HERMITE, 2, y), (y**2 - 1) / math.sqrt(2), atol=1e-14
+            univariate_table(PolyFamily.HERMITE, 2, y)[:, 2], (y**2 - 1) / math.sqrt(2), atol=1e-14
         )
 
     def test_hermite_matches_monomial_expansion(self):
         y = np.linspace(-4.0, 4.0, 41)
+        table = univariate_table(PolyFamily.HERMITE, 11, y)
         for k in range(12):
             np.testing.assert_allclose(
-                eval_univariate(PolyFamily.HERMITE, k, y),
+                table[:, k],
                 orthonormal_hermite(k, y),
                 rtol=1e-12,
                 atol=1e-12,
             )
 
     def test_legendre_degree_one(self):
-        assert eval_univariate(PolyFamily.LEGENDRE, 1, 0.5) == pytest.approx(
+        assert univariate_table(PolyFamily.LEGENDRE, 1, 0.5)[0, 1] == pytest.approx(
             math.sqrt(3.0) * 0.5, abs=1e-15
         )
 
     def test_negative_degree_rejected(self):
         with pytest.raises(ValueError):
-            eval_univariate(PolyFamily.HERMITE, -1, 0.0)
+            univariate_table(PolyFamily.HERMITE, -1, 0.0)
 
 
 class TestIndices:
@@ -340,14 +339,20 @@ class TestGalerkinTensor:
 
 
 class TestProjection:
+    """Spectral coefficients <g, h_k> integrated by a rule, with the oracle's Hermite values."""
+
+    @staticmethod
+    def project(g, k, rule):
+        return rule.integrate(g(rule.nodes) * orthonormal_hermite(k, rule.nodes))
+
     def test_projects_linear_function_exactly(self):
         rule = gauss_rule(PolyFamily.HERMITE, 8)
-        assert project_1d(lambda y: y, PolyFamily.HERMITE, 1, rule) == pytest.approx(1.0, abs=1e-14)
+        assert self.project(lambda y: y, 1, rule) == pytest.approx(1.0, abs=1e-14)
 
     def test_kink_integrand_against_closed_forms(self):
         rule = kink_split_normal_rule(kinks=(1.0,))
-        f0 = project_1d(lambda y: np.abs(y - 1.0), PolyFamily.HERMITE, 0, rule)
-        f1 = project_1d(lambda y: np.abs(y - 1.0), PolyFamily.HERMITE, 1, rule)
+        f0 = self.project(lambda y: np.abs(y - 1.0), 0, rule)
+        f1 = self.project(lambda y: np.abs(y - 1.0), 1, rule)
         assert f0 == pytest.approx(2.0 * norm_pdf(1.0) + 2.0 * norm_cdf(1.0) - 1.0, abs=1e-12)
         assert f0 == pytest.approx(1.16663, abs=5e-6)
         assert f1 == pytest.approx(2.0 * norm_cdf(-1.0) - 1.0, abs=1e-12)
@@ -356,11 +361,6 @@ class TestProjection:
     @pytest.mark.parametrize("k", [0, 1, 2, 3, 7])
     def test_kink_integrand_against_trapezoid_oracle(self, k):
         rule = kink_split_normal_rule(kinks=(1.0,))
-        value = project_1d(lambda y: np.abs(y - 1.0), PolyFamily.HERMITE, k, rule)
+        value = self.project(lambda y: np.abs(y - 1.0), k, rule)
         oracle = trapezoid_normal_projection(lambda y: np.abs(y - 1.0), k)
         assert value == pytest.approx(oracle, abs=2e-9)
-
-    def test_non_finite_integrand_rejected(self):
-        rule = gauss_rule(PolyFamily.HERMITE, 4)
-        with pytest.raises(ValueError):
-            project_1d(lambda y: 1.0 / (y - y[0]), PolyFamily.HERMITE, 0, rule)
