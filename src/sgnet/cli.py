@@ -34,13 +34,14 @@ from .metrics import (
     rel_h1_error,
     uniform_grid_1d,
 )
-from .net import BranchSpec, MultiBranchNet, enforcer_for
+from .net import BranchSpec, MultiBranchNet, enforcer_for, tape_nbytes
 from .reference import Mesh1D, Mesh2D, sga_fem_coupled
 from .solver import TrainConfig, TrainingDivergedError, train
 from .spectral import (
     PolyFamily,
     basis_dim,
     galerkin_tensor,
+    physical_memory,
     require_dense_fits,
     save_tensor,
     total_degree_basis,
@@ -260,6 +261,8 @@ def load_config(path: str | Path) -> ExperimentConfig:
     for key, value in seeds.items():
         if not _is_int(value) or value < 0:
             raise ConfigError(f"seeds.{key} must be a non-negative integer")
+    if seeds.get("sobol") == 0:
+        raise ConfigError("seeds.sobol must be a positive integer")
     kwargs["seed_weights"] = seeds.get("weights", 1)
     kwargs["seed_mc"] = seeds.get("mc", 1)
     kwargs["train"] = dataclasses.replace(
@@ -272,9 +275,31 @@ def load_config(path: str | Path) -> ExperimentConfig:
     if "out_dir" in raw:
         kwargs["out_dir"] = Path(raw["out_dir"])
     try:
-        return ExperimentConfig(**kwargs)
+        config = ExperimentConfig(**kwargs)
     except TypeError as exc:
         raise ConfigError(str(exc)) from exc
+    _require_tape_fits(config)
+    return config
+
+
+def _require_tape_fits(config: ExperimentConfig) -> None:
+    """Refuse a sweep whose largest training step needs a network tape beyond physical memory.
+
+    The strong step evaluates the net to order 2, the Ritz step to order 1.
+    """
+    try:
+        spec = config.branch_spec(field_model(config.experiment, 1).spatial_dim)
+    except ValueError as exc:
+        raise ConfigError(f"invalid net section: {exc}") from exc
+    size = max(basis_dim(n, p) for n in config.n_values for p in config.p_values)
+    order = 2 if "galerkin" in config.methods else 1
+    needed, physical = tape_nbytes(spec, size, config.train.batch_size, order), physical_memory()
+    if needed > physical:
+        raise ConfigError(
+            f"the network tape of one training step at batch {config.train.batch_size} "
+            f"with {size} branches needs {needed / 1e9:.3g} GB, "
+            f"more than the {physical / 1e9:.3g} GB of physical memory"
+        )
 
 
 def _reference(

@@ -14,12 +14,16 @@ requires activation derivatives up to third order.
 
 For speed, the value rows and the per-direction Jacobian and Hessian rows of
 a batch are stacked into a single matrix per layer, so each linear layer is
-one batched matrix product.
+one batched matrix product.  Each net reuses one tape for one (points, order)
+shape: the evaluation writes every layer and the activation derivatives into
+it, the reverse pass overwrites it with the cotangents and hands it back, so a
+training step allocates only its outputs.  A record is pulled back once.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -33,6 +37,7 @@ __all__ = [
     "EvalRecord",
     "MultiBranchNet",
     "enforcer_for",
+    "tape_nbytes",
     "unit_interval_enforcer",
     "unit_square_enforcer",
 ]
@@ -126,67 +131,111 @@ def enforcer_for(spatial_dim: int) -> Enforcer:
     raise ValueError("only spatial dimensions 1 and 2 are supported")
 
 
-def _forward_derivs(kind: str, z: np.ndarray, order: int):
-    """Activation value and first/second derivatives needed at forward time."""
-    s = expit(z)
+def _activation(kind: str, z: np.ndarray, value: np.ndarray, derivs, scratch) -> None:
+    """Write the activation of ``z`` into ``value`` and its derivatives 1..len(derivs) into ``derivs``.
+
+    The last derivative may overwrite ``z``, so every term that reads ``z`` is
+    taken before it is written; ``scratch`` holds three arrays shaped like
+    ``z``.  Each expression keeps one operand order, whatever the buffers.
+    """
+    s = value if kind == "sigmoid" else scratch[0]
+    t, s1 = scratch[1], scratch[2]
+    np.subtract(1.0, expit(z, out=s), out=t)
     if kind == "sigmoid":
-        value = s
-        d1 = s * (1.0 - s)
-        d2 = d1 * (1.0 - 2.0 * s) if order >= 2 else None
+        s1 = np.multiply(s, t, out=derivs[0])  # s (1 - s)
     else:  # swish: z * sigmoid(z)
-        value = z * s
-        s1 = s * (1.0 - s)
-        d1 = s + z * s1
-        d2 = 2.0 * s1 + z * (s1 * (1.0 - 2.0 * s)) if order >= 2 else None
-    return value, d1, d2, s
+        np.multiply(z, s, out=value)
+        np.multiply(z, np.multiply(s, t, out=s1), out=t)
+        np.add(s, t, out=derivs[0])  # s + z s1
+    if len(derivs) < 2:
+        return
+    s2 = derivs[1] if kind == "sigmoid" else s
+    np.multiply(s1, np.subtract(1.0, np.multiply(2.0, s, out=t), out=t), out=s2)  # s1 (1 - 2 s)
+    if kind == "swish":
+        np.add(np.multiply(z, s2, out=t), np.multiply(2.0, s1, out=derivs[1]), out=derivs[1])
+    if len(derivs) < 3:
+        return
+    np.multiply(s1, np.subtract(1.0, np.multiply(6.0, s1, out=t), out=t), out=derivs[2] if kind == "sigmoid" else t)
+    if kind == "swish":
+        np.add(np.multiply(z, t, out=t), np.multiply(3.0, s2, out=derivs[2]), out=derivs[2])
 
 
-def _backward_derivs(kind: str, z: np.ndarray, s: np.ndarray, order: int):
-    """Activation derivatives up to order + 1, as needed by reverse mode."""
-    s1 = s * (1.0 - s)
-    s2 = s1 * (1.0 - 2.0 * s)
-    if kind == "sigmoid":
-        d1, d2 = s1, s2
-        d3 = s1 * (1.0 - 6.0 * s1) if order >= 2 else None
-    else:  # swish
-        d1 = s + z * s1
-        d2 = 2.0 * s1 + z * s2
-        d3 = 3.0 * s2 + z * (s1 * (1.0 - 6.0 * s1)) if order >= 2 else None
-    return d1, d2, d3
+def _derivative_rows(n: int, d: int, order: int) -> tuple[list[slice], list[slice]]:
+    """Row blocks of the Jacobian and of the Hessian diagonal, one per input direction."""
+    blocks = [slice(n * b, n * (b + 1)) for b in range(1, 1 + d * order)]
+    return blocks[:d], blocks[d:]
 
 
+def tape_nbytes(spec: BranchSpec, n_branches: int, n_points: int, order: int) -> int:
+    """Bytes of the reusable tape of one evaluation of ``n_points`` points at ``order``.
+
+    Every layer keeps its input and pre-activation over all derivative rows,
+    every hidden layer ``order`` stored activation derivatives over the value
+    rows, and three scratch arrays span the widest hidden layer.
+    """
+    rows = n_points * (1 + spec.input_dim * order)
+    hidden = [w for w, kind in zip(spec.layer_dims[1:], spec.activations) if kind != "linear"]
+    size = rows * sum(spec.layer_dims) + (rows + order * n_points) * sum(hidden)
+    return 8 * n_branches * (size + 3 * n_points * max(hidden, default=0))
+
+
+class _Tape:
+    """Workspace of one (n_points, order) evaluation, reused across calls of that shape.
+
+    ``S[i]`` is the input of layer i and ``S[-1]`` the output; a linear layer's
+    output is its pre-activation ``Z[i]``.  ``D[i]`` holds the activation
+    derivatives 1..order+1 (the last one in the value rows of ``Z[i]``) and
+    ``scratch[i]`` three arrays of the value rows' shape.  The reverse pass
+    overwrites ``Z[i]`` with its cotangent and ``S[i]`` with that of layer i's input.
+    """
+
+    __slots__ = ("key", "S", "Z", "D", "scratch")
+
+    def __init__(self, spec: BranchSpec, K: int, n: int, order: int) -> None:
+        self.key = (n, order)
+        d, rows = spec.input_dim, n * (1 + spec.input_dim * order)
+        buf = np.empty(tape_nbytes(spec, K, n, order) // 8)
+        offset = 0
+
+        def take(*shape):
+            nonlocal offset
+            offset += math.prod(shape)
+            return buf[offset - math.prod(shape) : offset].reshape(shape)
+
+        self.S = [take(K, rows, d)]
+        self.S[0][:, n:] = 0.0  # constant derivative rows of the input block
+        for j, block in enumerate(_derivative_rows(n, d, order)[0]):
+            self.S[0][:, block, j] = 1.0
+        width = max((w for w, a in zip(spec.layer_dims[1:], spec.activations) if a != "linear"), default=0)
+        flat = [take(K * n * width) for _ in range(3)]
+        self.Z, self.D, self.scratch = [], [], []
+        for w, kind in zip(spec.layer_dims[1:], spec.activations):
+            self.Z.append(take(K, rows, w))
+            linear = kind == "linear"
+            self.S.append(self.Z[-1] if linear else take(K, rows, w))
+            self.D.append([] if linear else [take(K, n, w) for _ in range(order)] + [self.Z[-1][:, :n]])
+            self.scratch.append([] if linear else [a[: K * n * w].reshape(K, n, w) for a in flat])
+        assert offset == buf.size
+
+
+@dataclass(eq=False, repr=False)
 class EvalRecord:
     """Values and derivatives of all branches at a batch of points, plus the tape.
 
     ``value`` has shape (n, K); ``grad`` (n, K, d) for order >= 1; ``laplacian``
-    (n, K) for order == 2.  The record retains the layer intermediates needed
-    to pull parameter gradients back through the evaluation.
+    (n, K) for order == 2.  The record holds the tape needed to pull parameter
+    gradients back through the evaluation; the pull-back consumes it, so a
+    record can be pulled back once.
     """
 
-    __slots__ = (
-        "value",
-        "grad",
-        "laplacian",
-        "order",
-        "n_points",
-        "_net",
-        "_tape",
-        "_raw_value",
-        "_raw_grad",
-        "_enf",
-    )
-
-    def __init__(self, net, order, n_points, value, grad, laplacian, tape, raw_value, raw_grad, enf):
-        self.value = value
-        self.grad = grad
-        self.laplacian = laplacian
-        self.order = order
-        self.n_points = n_points
-        self._net = net
-        self._tape = tape
-        self._raw_value = raw_value
-        self._raw_grad = raw_grad
-        self._enf = enf
+    _net: MultiBranchNet
+    order: int
+    n_points: int
+    value: np.ndarray
+    grad: np.ndarray | None
+    laplacian: np.ndarray | None
+    _tape: _Tape | None
+    _enf: tuple
 
 
 class MultiBranchNet:
@@ -218,6 +267,7 @@ class MultiBranchNet:
             bound = np.sqrt(6.0 / (fan_in + fan_out))
             self.weights.append(rng.uniform(-bound, bound, size=(n_branches, fan_out, fan_in)))
             self.biases.append(np.zeros((n_branches, fan_out)))
+        self._spare: _Tape | None = None  # tape handed back by the last pull-back
 
     @property
     def input_dim(self) -> int:
@@ -254,48 +304,33 @@ class MultiBranchNet:
         n, d = x.shape
         if d != self.input_dim:
             raise ValueError(f"points have dimension {d}, network expects {self.input_dim}")
-        K = self.n_branches
-        blocks = 1 + (d if order >= 1 else 0) + (d if order >= 2 else 0)
-        rows = n * blocks
+        tape, self._spare = self._spare, None
+        if tape is not None and tape.key != (n, order):
+            tape = None  # free the spare before allocating another shape
+        if tape is None:
+            tape = _Tape(self.spec, self.n_branches, n, order)
+        tape.S[0][:, :n, :] = x
+        J, H = _derivative_rows(n, d, order)
 
-        S = np.zeros((K, rows, d))
-        S[:, :n, :] = x
-        if order >= 1:
-            for j in range(d):
-                S[:, n * (1 + j) : n * (2 + j), j] = 1.0
-
-        tape = []
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            Z = np.matmul(S, w.transpose(0, 2, 1))
-            Z[:, :n, :] += b[:, None, :]
+            Z = np.matmul(tape.S[i], w.transpose(0, 2, 1), out=tape.Z[i])
+            Z[:, :n] += b[:, None, :]
             kind = self.spec.activations[i]
             if kind == "linear":
-                tape.append((S, Z, None, kind))
-                S = Z
                 continue
-            value, d1, d2, s = _forward_derivs(kind, Z[:, :n], order)
-            S_new = np.empty_like(Z)
-            S_new[:, :n] = value
-            if order >= 1:
-                for j in range(d):
-                    jz = Z[:, n * (1 + j) : n * (2 + j)]
-                    np.multiply(d1, jz, out=S_new[:, n * (1 + j) : n * (2 + j)])
-                    if order >= 2:
-                        hz = Z[:, n * (1 + d + j) : n * (2 + d + j)]
-                        target = S_new[:, n * (1 + d + j) : n * (2 + d + j)]
-                        np.multiply(jz, jz, out=target)
-                        target *= d2
-                        target += d1 * hz
-            tape.append((S, Z, s, kind))
-            S = S_new
+            S, derivs, scratch = tape.S[i + 1], tape.D[i], tape.scratch[i]
+            _activation(kind, Z[:, :n], S[:, :n], derivs, scratch)
+            for rows in J:
+                np.multiply(derivs[0], Z[:, rows], out=S[:, rows])
+            for j, rows in enumerate(H):
+                target = np.multiply(Z[:, J[j]], Z[:, J[j]], out=S[:, rows])
+                target *= derivs[1]
+                target += np.multiply(derivs[0], Z[:, rows], out=scratch[0])
 
+        S = tape.S[-1]
         raw_value = S[:, :n, 0].T.copy()
-        raw_grad = None
-        raw_lap = None
-        if order >= 1:
-            raw_grad = np.stack([S[:, n * (1 + j) : n * (2 + j), 0].T for j in range(d)], axis=2)
-        if order >= 2:
-            raw_lap = sum(S[:, n * (1 + d + j) : n * (2 + d + j), 0].T for j in range(d))
+        raw_grad = np.stack([S[:, rows, 0].T for rows in J], axis=2) if order >= 1 else None
+        raw_lap = sum(S[:, rows, 0].T for rows in H) if order >= 2 else None
 
         e = self.enforcer.value(x)
         ge = self.enforcer.grad(x)
@@ -311,9 +346,7 @@ class MultiBranchNet:
                 + 2.0 * np.einsum("nd,nkd->nk", ge, raw_grad)
                 + e[:, None] * raw_lap
             )
-        return EvalRecord(
-            self, order, n, value, grad, laplacian, tape, raw_value, raw_grad, (e, ge, le)
-        )
+        return EvalRecord(self, order, n, value, grad, laplacian, tape, (e, ge, le))
 
     # -- parameter gradients ----------------------------------------------------
 
@@ -332,17 +365,16 @@ class MultiBranchNet:
         """
         if record._net is not self:
             raise ValueError("evaluation record belongs to a different network instance")
-        n = record.n_points
-        d = self.input_dim
-        K = self.n_branches
-        order = record.order
+        tape = record._tape
+        if tape is None:
+            raise ValueError("evaluation record was already pulled back")
+        n, order, d, K = record.n_points, record.order, self.input_dim, self.n_branches
         if d_lap is not None and order < 2:
             raise ValueError("laplacian cotangent requires an order-2 record")
         if d_grad is not None and order < 1:
             raise ValueError("gradient cotangent requires an order-1 record")
 
         e, ge, le = record._enf
-        raw_value, raw_grad = record._raw_value, record._raw_grad
 
         # Pull the cotangents back through the enforcer product rule.
         dN = np.zeros((n, K))
@@ -361,47 +393,44 @@ class MultiBranchNet:
                 dgN += 2.0 * ge[:, None, :] * d_lap[:, :, None]
         dlapN = e[:, None] * d_lap if d_lap is not None else None
 
-        blocks = 1 + (d if order >= 1 else 0) + (d if order >= 2 else 0)
-        rows = n * blocks
-        Sb = np.zeros((K, rows, 1))
+        Sb = tape.S[-1]
+        record._tape = None
+        J, H = _derivative_rows(n, d, order)
         Sb[:, :n, 0] = dN.T
-        if order >= 1:
-            for j in range(d):
-                Sb[:, n * (1 + j) : n * (2 + j), 0] = dgN[:, :, j].T
-        if order >= 2 and dlapN is not None:
-            for j in range(d):
-                Sb[:, n * (1 + d + j) : n * (2 + d + j), 0] = dlapN.T
+        for j, rows in enumerate(J):
+            Sb[:, rows, 0] = dgN[:, :, j].T
+        for rows in H:
+            Sb[:, rows, 0] = 0.0 if dlapN is None else dlapN.T
 
-        grads_w: list[np.ndarray] = [np.empty(0)] * len(self.weights)
-        grads_b: list[np.ndarray] = [np.empty(0)] * len(self.weights)
+        grads = np.empty(self.n_params)
+        ends = np.cumsum([a.size for pair in zip(self.weights, self.biases) for a in pair])
         for i in reversed(range(len(self.weights))):
-            S_prev, Z, s, kind = record._tape[i]
-            if s is None:
-                Zb = Sb
-            else:
-                d1, d2, d3 = _backward_derivs(kind, Z[:, :n], s, order)
-                Zb = np.empty_like(Sb)
-                zb = Sb[:, :n] * d1
-                if order >= 1:
-                    for j in range(d):
-                        jz = Z[:, n * (1 + j) : n * (2 + j)]
-                        jb = Sb[:, n * (1 + j) : n * (2 + j)]
-                        zb += jb * d2 * jz
-                        np.multiply(jb, d1, out=Zb[:, n * (1 + j) : n * (2 + j)])
-                        if order >= 2:
-                            hz = Z[:, n * (1 + d + j) : n * (2 + d + j)]
-                            hb = Sb[:, n * (1 + d + j) : n * (2 + d + j)]
-                            zb += hb * (d3 * jz * jz + d2 * hz)
-                            Zb[:, n * (1 + j) : n * (2 + j)] += 2.0 * hb * d2 * jz
-                            np.multiply(hb, d1, out=Zb[:, n * (1 + d + j) : n * (2 + d + j)])
-                Zb[:, :n] = zb
-            grads_w[i] = np.matmul(Zb.transpose(0, 2, 1), S_prev)
-            grads_b[i] = Zb[:, :n].sum(axis=1)
+            S_prev, Zb, derivs = tape.S[i], tape.Z[i], tape.D[i]
+            if derivs:
+                # Zb overwrites Z block by block, once every term that reads the block is taken.
+                Sb, d1, (zb, u, v) = tape.S[i + 1], derivs[0], tape.scratch[i]
+                np.multiply(Sb[:, :n], d1, out=zb)
+                for j, rows in enumerate(J):
+                    jz, jb = Zb[:, rows], Sb[:, rows]
+                    zb += np.multiply(np.multiply(jb, derivs[1], out=u), jz, out=u)  # jb d2 jz
+                    if order >= 2:
+                        hz, hb = Zb[:, H[j]], Sb[:, H[j]]
+                        np.multiply(np.multiply(derivs[2], jz, out=u), jz, out=u)
+                        u += np.multiply(derivs[1], hz, out=v)
+                        zb += np.multiply(hb, u, out=u)  # hb (d3 jz jz + d2 hz)
+                        np.multiply(np.multiply(np.multiply(2.0, hb, out=u), derivs[1], out=u), jz, out=u)
+                        np.multiply(hb, d1, out=hz)
+                    np.multiply(jb, d1, out=jz)
+                    if order >= 2:
+                        jz += u  # jb d1 + 2 hb d2 jz
+                np.copyto(Zb[:, :n], zb)
+            w, (w_end, b_end) = self.weights[i], ends[2 * i : 2 * i + 2]
+            np.matmul(Zb.transpose(0, 2, 1), S_prev, out=grads[w_end - w.size : w_end].reshape(w.shape))
+            np.sum(Zb[:, :n], axis=1, out=grads[w_end:b_end].reshape(self.biases[i].shape))
             if i > 0:
-                Sb = np.matmul(Zb, self.weights[i])
-        return np.concatenate(
-            [a.ravel() for pair in zip(grads_w, grads_b) for a in pair]
-        )
+                np.matmul(Zb, w, out=S_prev)
+        self._spare = tape
+        return grads
 
     # -- persistence ------------------------------------------------------------
 

@@ -258,6 +258,8 @@ class TrainConfig:
             raise ValueError("learning rate must be positive with decay factor in (0, 1]")
         if self.patience < 0 or self.validation_interval < 1:
             raise ValueError("patience must be non-negative, validation interval positive")
+        if self.seed_sobol < 1:  # the skip of a stream that never emits its origin point
+            raise ValueError("seed_sobol must be positive")
 
 
 @dataclass
@@ -325,7 +327,7 @@ def train(
     if loss_kind == "ritz" and validation_field.weighting != "none":
         raise ValueError("ritz training needs an unweighted field for validation")
 
-    stream = SobolStream(dim, skip=max(1, config.seed_sobol))
+    stream = SobolStream(dim, skip=config.seed_sobol)
     state = AdamState.zeros(net.n_params)
     theta = net.params_flat()
     lo, hi = np.zeros(dim), np.ones(dim)

@@ -257,10 +257,15 @@ def tensor_gauss_rule(basis: OrderedBasis, nodes_per_dim: int) -> tuple[np.ndarr
     return points, weights
 
 
+def physical_memory() -> int:
+    """Bytes of physical memory of the host."""
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
 def require_dense_fits(size: int) -> None:
     """Refuse a dense ``size**3`` float64 array that would exceed physical memory."""
     needed = 8 * size**3
-    physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    physical = physical_memory()
     if needed > physical:
         raise ValueError(
             f"a dense {size}^3 triple-product tensor needs {needed / 1e9:.3g} GB, "

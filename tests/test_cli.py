@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import time
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -23,8 +24,9 @@ from sgnet.cli import (
     tensor_dump,
 )
 from sgnet.fields import draw_samples
+from sgnet.net import BranchSpec, tape_nbytes
 from sgnet.solver import TrainingDivergedError
-from sgnet.spectral import PolyFamily, load_tensor
+from sgnet.spectral import PolyFamily, basis_dim, load_tensor
 
 
 def write_config(path: Path, **overrides) -> Path:
@@ -188,14 +190,40 @@ class TestRunner:
             {"seeds": {"weights": "x"}},
             {"seeds": {"mc": 1.5}},
             {"seeds": {"sobol": -1}},
+            {"seeds": {"sobol": 0}},
         ],
-        ids=["n_mc-text", "n_mc-zero", "n_mc-float", "mesh-1", "grid-1", "seed-text", "seed-float", "seed-negative"],
+        ids=[
+            "n_mc-text", "n_mc-zero", "n_mc-float", "mesh-1", "grid-1",
+            "seed-text", "seed-float", "seed-negative", "sobol-zero",
+        ],
     )
     def test_bad_metric_or_seed_fails_before_any_output(self, tmp_path, capsys, overrides):
         path = write_config(tmp_path / "c.yaml", P=[0], **overrides)
         assert main(["run", str(path)]) == EXIT_CONFIG
         assert "config error:" in capsys.readouterr().err
         assert not (tmp_path / "out" / "results.csv").exists()
+
+    def test_bad_net_section_fails_before_any_output(self, tmp_path, capsys):
+        path = write_config(tmp_path / "c.yaml", net={"widths": [6], "activations": ["relu"]})
+        assert main(["run", str(path)]) == EXIT_CONFIG
+        assert "config error:" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "results.csv").exists()
+
+    def test_oversized_network_tape_fails_before_any_output(self, tmp_path, capsys):
+        # exp3 at N=16, P=6 has 74,613 branches; one strong step at batch 256
+        # needs a tape of hundreds of GB, refused before any tensor is built.
+        train = {"batch_size": 256, "steps_per_epoch": 1, "max_epochs": 1}
+        path = write_config(tmp_path / "c.yaml", experiment="exp3", N=16, P=6, net={}, train=train)
+        start = time.perf_counter()
+        assert main(["run", str(path)]) == EXIT_CONFIG
+        elapsed = time.perf_counter() - start
+        spec = BranchSpec(1, (45,) * 5, ("swish",) * 5 + ("linear",))
+        needed = tape_nbytes(spec, basis_dim(16, 6), 256, order=2)
+        assert needed > 1e11
+        err = capsys.readouterr().err
+        assert "config error:" in err and f"{needed / 1e9:.3g} GB" in err
+        assert not (tmp_path / "out" / "results.csv").exists()
+        assert elapsed < 1.0
 
     def test_each_sample_reaches_the_reference_once(self, tmp_path, monkeypatch):
         # Both methods of an (N, P) entry are measured in one Monte Carlo pass:

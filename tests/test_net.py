@@ -2,23 +2,47 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.special import expit
 
+from sgnet.fields import field_model, make_spectral_field
 from sgnet.net import (
     BranchSpec,
     MultiBranchNet,
-    _forward_derivs,
+    _activation,
     enforcer_for,
     unit_interval_enforcer,
     unit_square_enforcer,
 )
+from sgnet.solver import strong_risk
+from sgnet.spectral import PolyFamily, galerkin_tensor, total_degree_basis
 
 
 def small_net(seed=0, d=1, widths=(6, 5), acts=("swish", "sigmoid", "linear"), branches=3):
     spec = BranchSpec(d, tuple(widths), tuple(acts))
     return MultiBranchNet(spec, n_branches=branches, seed=seed)
+
+
+def activation(kind, z, n_derivs):
+    """Activation value and its first ``n_derivs`` derivatives at ``z``."""
+    value = np.empty_like(z)
+    derivs = [np.empty_like(z) for _ in range(n_derivs)]
+    _activation(kind, z.copy(), value, derivs, [np.empty_like(z) for _ in range(3)])
+    return value, *derivs
+
+
+def cotangents(record, seed, with_lap=True):
+    """Random cotangents for every output the record carries."""
+    rng = np.random.default_rng(seed)
+    out = {"d_value": rng.normal(size=record.value.shape)}
+    if record.order >= 1:
+        out["d_grad"] = rng.normal(size=record.grad.shape)
+    if record.order >= 2 and with_lap:
+        out["d_lap"] = rng.normal(size=record.laplacian.shape)
+    return out
 
 
 class TestSpecValidation:
@@ -160,6 +184,19 @@ class TestParameterGradient:
             net.set_params_flat(theta0)
             assert grad[idx] == pytest.approx(fd, rel=1e-5, abs=1e-7)
 
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_omitted_cotangents_count_as_zero(self, d):
+        # The same scalar of value and gradient pulled back through an order-2
+        # record, whose Laplacian cotangent is omitted, and an order-1 record.
+        net = small_net(seed=6, d=d)
+        x = np.random.default_rng(5).uniform(0.1, 0.9, size=(9, d))
+        for _ in range(2):  # the second pass reuses the tape of the first
+            high = net.evaluate(x, order=2)
+            grad_high = net.param_grad(high, **cotangents(high, 8, with_lap=False))
+            low = net.evaluate(x, order=1)
+            grad_low = net.param_grad(low, **cotangents(low, 8))
+            np.testing.assert_allclose(grad_high, grad_low, rtol=1e-12, atol=1e-15)
+
     def test_quadratic_loss_at_zero_weights_has_zero_gradient(self):
         # With all parameters zero every branch output vanishes, so the
         # gradient of sum_k U_k^2 is exactly zero; finite differences agree.
@@ -233,17 +270,17 @@ class TestParameterGradient:
 class TestActivationIdentities:
     def test_swish_first_derivative_identity(self):
         z = np.linspace(-6, 6, 301)
-        _, d1, _, _ = _forward_derivs("swish", z, order=1)
+        _, d1 = activation("swish", z, 1)
         s = expit(z)
         np.testing.assert_allclose(d1, s * (1 + z * (1 - s)), rtol=1e-13)
         step = 1e-6
-        vp, *_ = _forward_derivs("swish", z + step, order=0)
-        vm, *_ = _forward_derivs("swish", z - step, order=0)
+        vp, *_ = activation("swish", z + step, 1)
+        vm, *_ = activation("swish", z - step, 1)
         np.testing.assert_allclose(d1, (vp - vm) / (2 * step), atol=1e-8)
 
     def test_sigmoid_derivative_identity(self):
         z = np.linspace(-6, 6, 301)
-        _, d1, _, _ = _forward_derivs("sigmoid", z, order=1)
+        _, d1 = activation("sigmoid", z, 1)
         s = expit(z)
         np.testing.assert_allclose(d1, s * (1 - s), rtol=1e-13)
         step = 1e-6
@@ -252,20 +289,96 @@ class TestActivationIdentities:
         )
 
     def test_second_and_third_derivatives_match_fd(self):
-        from sgnet.net import _backward_derivs
-
         z = np.linspace(-4, 4, 81)
         for kind in ("swish", "sigmoid"):
-            s = expit(z)
-            d1, d2, d3 = _backward_derivs(kind, z, s, order=2)
+            _, d1, d2, d3 = activation(kind, z, 3)
             step = 1e-5
-            _, d1p, _, _ = _forward_derivs(kind, z + step, order=1)
-            _, d1m, _, _ = _forward_derivs(kind, z - step, order=1)
+            _, d1p, d2p = activation(kind, z + step, 2)
+            _, d1m, d2m = activation(kind, z - step, 2)
             np.testing.assert_allclose(d2, (d1p - d1m) / (2 * step), atol=1e-8)
-            sp, sm = expit(z + step), expit(z - step)
-            d2p = _backward_derivs(kind, z + step, sp, order=1)[1]
-            d2m = _backward_derivs(kind, z - step, sm, order=1)[1]
             np.testing.assert_allclose(d3, (d2p - d2m) / (2 * step), atol=1e-8)
+
+    @pytest.mark.parametrize("kind", ["swish", "sigmoid"])
+    def test_derivatives_do_not_depend_on_their_count(self, kind):
+        # Order-0 records keep only d1 and order-2 records d1..d3; the values
+        # they share are bitwise equal.
+        z = np.linspace(-4, 4, 81)
+        full = activation(kind, z, 3)
+        for count in (1, 2):
+            for a, b in zip(activation(kind, z, count), full):
+                np.testing.assert_array_equal(a, b)
+
+
+class TestTapeReuse:
+    """One tape per net is reused across calls; none of it may show in the results."""
+
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("acts", [("swish", "sigmoid", "linear"), ("sigmoid", "swish", "linear")])
+    def test_reuse_is_invisible(self, d, acts):
+        rng = np.random.default_rng(d)
+        points = {n: rng.uniform(0.1, 0.9, size=(n, d)) for n in (5, 7)}
+        other = {n: rng.uniform(0.1, 0.9, size=(n, d)) for n in (5, 7)}
+        net = small_net(seed=3, d=d, acts=acts)
+        for n in (7, 5, 7):
+            for order in (0, 1, 2):
+                for with_lap in (True, False):
+                    # A pull-back at other points leaves a stale tape of this shape.
+                    warm = net.evaluate(other[n], order)
+                    net.param_grad(warm, **cotangents(warm, 1))
+                    record = net.evaluate(points[n], order)
+                    # Order-0 evaluations between an evaluation and its pull-back.
+                    net.evaluate(points[12 - n], 0)
+                    net.evaluate(points[n], 0)
+                    grad = net.param_grad(record, **cotangents(record, 2, with_lap))
+
+                    fresh = small_net(seed=3, d=d, acts=acts)
+                    expected = fresh.evaluate(points[n], order)
+                    expected_grad = fresh.param_grad(expected, **cotangents(expected, 2, with_lap))
+                    for name in ("value", "grad", "laplacian"):
+                        np.testing.assert_array_equal(getattr(record, name), getattr(expected, name))
+                    np.testing.assert_array_equal(grad, expected_grad)
+
+    def test_pull_back_happens_once(self):
+        net = small_net()
+        record = net.evaluate(np.array([[0.3], [0.6]]), order=2)
+        net.param_grad(record, **cotangents(record, 0))
+        with pytest.raises(ValueError):
+            net.param_grad(record, **cotangents(record, 0))
+
+    def test_rejected_calls_leave_the_record_usable(self):
+        x = np.array([[0.3], [0.6]])
+        net, other = small_net(seed=1), small_net(seed=1)
+        record = net.evaluate(x, order=1)
+        cot = cotangents(record, 4)
+        with pytest.raises(ValueError):
+            other.param_grad(record, **cot)
+        with pytest.raises(ValueError):
+            net.param_grad(record, d_lap=np.ones((2, 3)))
+        with pytest.raises(ValueError):
+            net.param_grad(record, d_value=np.ones((3, 3)))
+        grad = net.param_grad(record, **cot)
+        expected = other.evaluate(x, order=1)
+        np.testing.assert_array_equal(grad, other.param_grad(expected, **cot))
+
+    def test_steady_step_allocates_no_tape(self):
+        basis = total_degree_basis(1, 3, PolyFamily.HERMITE)
+        field = make_spectral_field(field_model("exp1", 1), basis)
+        tensor = galerkin_tensor(basis)
+        width, n = 16, 256
+        net = small_net(widths=(width, width), branches=basis.size)
+        x = np.linspace(0.01, 0.99, n)[:, None]
+        first = strong_risk(x, net, field, tensor)
+        tracemalloc.start()
+        try:
+            second = strong_risk(x, net, field, tensor)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # One layer array of an order-2 tape: (K, 3 n rows, width) float64.
+        layer = 8 * basis.size * 3 * n * width
+        assert peak < layer
+        assert first[0] == second[0]
+        np.testing.assert_array_equal(first[1], second[1])
 
 
 class TestPersistence:

@@ -350,6 +350,11 @@ class TestSobol:
         with pytest.raises(ValueError):
             sobol_batch(stream, 4, [0.0], [1.0])
 
+    def test_training_seed_zero_rejected(self):
+        # The seed is the stream's skip, and the origin point is never drawn.
+        with pytest.raises(ValueError):
+            TrainConfig(seed_sobol=0)
+
 
 class TestAdam:
     def test_zero_gradient_keeps_parameters(self):
