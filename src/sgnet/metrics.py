@@ -175,8 +175,8 @@ def net_evaluator(
     net: MultiBranchNet, basis: OrderedBasis, grid: SpatialGrid, scale: float = 1.0
 ) -> PathwiseEvaluator:
     """Reconstruction sum_k U_k(x) p_k(y) of a trained network on the grid."""
-    record = net.evaluate(grid.points, order=1)
-    return _spectral_reconstruction(basis, scale * record.value, scale * record.grad)
+    values, grads, _ = net.evaluate_grid(grid.points, order=1)
+    return _spectral_reconstruction(basis, scale * values, scale * grads)
 
 
 def coupled_evaluator(

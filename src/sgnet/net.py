@@ -18,6 +18,14 @@ one batched matrix product.  Each net reuses one tape for one (points, order)
 shape: the evaluation writes every layer and the activation derivatives into
 it, the reverse pass overwrites it with the cotangents and hands it back, so a
 training step allocates only its outputs.  A record is pulled back once.
+
+Both passes run branch block by branch block: every layer of one block of
+branches is evaluated (or pulled back) before the next block starts, so a
+block's layers are still in cache when the next layer reads them.  A block
+is as many branches as fit ``_BLOCK_BYTES`` of tape, and at least one; it is
+a contiguous slice of every tape array, and only the scratch arrays are
+sized by the block instead of the net.  :meth:`MultiBranchNet.evaluate_grid`
+evaluates large point sets in chunks on one chunk-sized tape.
 """
 
 from __future__ import annotations
@@ -166,17 +174,41 @@ def _derivative_rows(n: int, d: int, order: int) -> tuple[list[slice], list[slic
     return blocks[:d], blocks[d:]
 
 
+# Tape bytes of one block of branches.  On a 2 MB-L2 Xeon with one BLAS thread,
+# 8 MB (blocks of 2-3 branches) took a 210-branch 5x45 step at 256 points a
+# third less time than one whole-net block; 4 and 12 MB were close, 16 MB and
+# more slower, and 9- or 11-branch nets ran at parity (BENCH_9.json).
+_BLOCK_BYTES = 8 << 20
+
+# Points per chunk of :meth:`MultiBranchNet.evaluate_grid`: 256 and 512 were
+# equally fast on a 4,096-point grid, and 256 needs half the tape.
+_GRID_CHUNK = 256
+
+
+def _branch_words(spec: BranchSpec, n_points: int, order: int) -> tuple[int, int]:
+    """Tape words of one branch's layers, and of its share of the scratch arrays."""
+    rows = n_points * (1 + spec.input_dim * order)
+    hidden = [w for w, kind in zip(spec.layer_dims[1:], spec.activations) if kind != "linear"]
+    layers = rows * sum(spec.layer_dims) + (rows + order * n_points) * sum(hidden)
+    return layers, 3 * n_points * max(hidden, default=0)
+
+
+def _block_branches(spec: BranchSpec, n_points: int, order: int) -> int:
+    """Branches per block: as many as fit ``_BLOCK_BYTES`` of tape, and at least one."""
+    return max(1, _BLOCK_BYTES // (8 * sum(_branch_words(spec, n_points, order))))
+
+
 def tape_nbytes(spec: BranchSpec, n_branches: int, n_points: int, order: int) -> int:
     """Bytes of the reusable tape of one evaluation of ``n_points`` points at ``order``.
 
     Every layer keeps its input and pre-activation over all derivative rows,
     every hidden layer ``order`` stored activation derivatives over the value
-    rows, and three scratch arrays span the widest hidden layer.
+    rows, and three scratch arrays span the widest hidden layer of one block
+    of branches.
     """
-    rows = n_points * (1 + spec.input_dim * order)
-    hidden = [w for w, kind in zip(spec.layer_dims[1:], spec.activations) if kind != "linear"]
-    size = rows * sum(spec.layer_dims) + (rows + order * n_points) * sum(hidden)
-    return 8 * n_branches * (size + 3 * n_points * max(hidden, default=0))
+    layers, scratch = _branch_words(spec, n_points, order)
+    block = min(n_branches, _block_branches(spec, n_points, order))
+    return 8 * (n_branches * layers + block * scratch)
 
 
 class _Tape:
@@ -185,14 +217,18 @@ class _Tape:
     ``S[i]`` is the input of layer i and ``S[-1]`` the output; a linear layer's
     output is its pre-activation ``Z[i]``.  ``D[i]`` holds the activation
     derivatives 1..order+1 (the last one in the value rows of ``Z[i]``) and
-    ``scratch[i]`` three arrays of the value rows' shape.  The reverse pass
-    overwrites ``Z[i]`` with its cotangent and ``S[i]`` with that of layer i's input.
+    ``scratch[i]`` three arrays of the value rows' shape for one block of
+    branches; ``blocks`` slices the leading branch axis of every other array
+    into blocks.  The reverse pass overwrites ``Z[i]`` with its cotangent and
+    ``S[i]`` with that of layer i's input.
     """
 
-    __slots__ = ("key", "S", "Z", "D", "scratch")
+    __slots__ = ("key", "blocks", "S", "Z", "D", "scratch")
 
     def __init__(self, spec: BranchSpec, K: int, n: int, order: int) -> None:
         self.key = (n, order)
+        B = min(K, _block_branches(spec, n, order))
+        self.blocks = [slice(k0, k0 + B) for k0 in range(0, K, B)]
         d, rows = spec.input_dim, n * (1 + spec.input_dim * order)
         buf = np.empty(tape_nbytes(spec, K, n, order) // 8)
         offset = 0
@@ -206,15 +242,14 @@ class _Tape:
         self.S[0][:, n:] = 0.0  # constant derivative rows of the input block
         for j, block in enumerate(_derivative_rows(n, d, order)[0]):
             self.S[0][:, block, j] = 1.0
-        width = max((w for w, a in zip(spec.layer_dims[1:], spec.activations) if a != "linear"), default=0)
-        flat = [take(K * n * width) for _ in range(3)]
+        flat = [take(B * _branch_words(spec, n, order)[1] // 3) for _ in range(3)]
         self.Z, self.D, self.scratch = [], [], []
         for w, kind in zip(spec.layer_dims[1:], spec.activations):
             self.Z.append(take(K, rows, w))
             linear = kind == "linear"
             self.S.append(self.Z[-1] if linear else take(K, rows, w))
             self.D.append([] if linear else [take(K, n, w) for _ in range(order)] + [self.Z[-1][:, :n]])
-            self.scratch.append([] if linear else [a[: K * n * w].reshape(K, n, w) for a in flat])
+            self.scratch.append([] if linear else [a[: B * n * w].reshape(B, n, w) for a in flat])
         assert offset == buf.size
 
 
@@ -312,20 +347,22 @@ class MultiBranchNet:
         tape.S[0][:, :n, :] = x
         J, H = _derivative_rows(n, d, order)
 
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            Z = np.matmul(tape.S[i], w.transpose(0, 2, 1), out=tape.Z[i])
-            Z[:, :n] += b[:, None, :]
-            kind = self.spec.activations[i]
-            if kind == "linear":
-                continue
-            S, derivs, scratch = tape.S[i + 1], tape.D[i], tape.scratch[i]
-            _activation(kind, Z[:, :n], S[:, :n], derivs, scratch)
-            for rows in J:
-                np.multiply(derivs[0], Z[:, rows], out=S[:, rows])
-            for j, rows in enumerate(H):
-                target = np.multiply(Z[:, J[j]], Z[:, J[j]], out=S[:, rows])
-                target *= derivs[1]
-                target += np.multiply(derivs[0], Z[:, rows], out=scratch[0])
+        for k in tape.blocks:
+            for i, (w, b) in enumerate(zip(self.weights, self.biases)):
+                Z = np.matmul(tape.S[i][k], w[k].transpose(0, 2, 1), out=tape.Z[i][k])
+                Z[:, :n] += b[k, None, :]
+                kind = self.spec.activations[i]
+                if kind == "linear":
+                    continue
+                S, derivs = tape.S[i + 1][k], [a[k] for a in tape.D[i]]
+                scratch = [a[: len(Z)] for a in tape.scratch[i]]
+                _activation(kind, Z[:, :n], S[:, :n], derivs, scratch)
+                for rows in J:
+                    np.multiply(derivs[0], Z[:, rows], out=S[:, rows])
+                for j, rows in enumerate(H):
+                    target = np.multiply(Z[:, J[j]], Z[:, J[j]], out=S[:, rows])
+                    target *= derivs[1]
+                    target += np.multiply(derivs[0], Z[:, rows], out=scratch[0])
 
         S = tape.S[-1]
         raw_value = S[:, :n, 0].T.copy()
@@ -347,6 +384,28 @@ class MultiBranchNet:
                 + e[:, None] * raw_lap
             )
         return EvalRecord(self, order, n, value, grad, laplacian, tape, (e, ge, le))
+
+    def evaluate_grid(self, x: np.ndarray, order: int = 1):
+        """``(value, grad, laplacian)`` at many points, with no pull-back.
+
+        The points are evaluated in chunks of ``_GRID_CHUNK``, the last one
+        ending at the last point, and each chunk's tape is handed back at once,
+        so one chunk-sized tape serves the whole grid and is freed at the end,
+        as a record's tape is; ``grad`` and ``laplacian`` are None below
+        orders 1 and 2.
+        """
+        x = np.atleast_2d(np.asarray(x, dtype=float))
+        chunks = []
+        for start in range(0, len(x), _GRID_CHUNK):
+            first = min(start, max(len(x) - _GRID_CHUNK, 0))
+            record = self.evaluate(x[first : first + _GRID_CHUNK], order)
+            self._spare, record._tape = record._tape, None
+            chunks.append((start - first, record))
+        self._spare = None
+        return tuple(
+            np.concatenate([getattr(r, name)[skip:] for skip, r in chunks]) if order >= least else None
+            for name, least in (("value", 0), ("grad", 1), ("laplacian", 2))
+        )
 
     # -- parameter gradients ----------------------------------------------------
 
@@ -404,31 +463,34 @@ class MultiBranchNet:
 
         grads = np.empty(self.n_params)
         ends = np.cumsum([a.size for pair in zip(self.weights, self.biases) for a in pair])
-        for i in reversed(range(len(self.weights))):
-            S_prev, Zb, derivs = tape.S[i], tape.Z[i], tape.D[i]
-            if derivs:
-                # Zb overwrites Z block by block, once every term that reads the block is taken.
-                Sb, d1, (zb, u, v) = tape.S[i + 1], derivs[0], tape.scratch[i]
-                np.multiply(Sb[:, :n], d1, out=zb)
-                for j, rows in enumerate(J):
-                    jz, jb = Zb[:, rows], Sb[:, rows]
-                    zb += np.multiply(np.multiply(jb, derivs[1], out=u), jz, out=u)  # jb d2 jz
-                    if order >= 2:
-                        hz, hb = Zb[:, H[j]], Sb[:, H[j]]
-                        np.multiply(np.multiply(derivs[2], jz, out=u), jz, out=u)
-                        u += np.multiply(derivs[1], hz, out=v)
-                        zb += np.multiply(hb, u, out=u)  # hb (d3 jz jz + d2 hz)
-                        np.multiply(np.multiply(np.multiply(2.0, hb, out=u), derivs[1], out=u), jz, out=u)
-                        np.multiply(hb, d1, out=hz)
-                    np.multiply(jb, d1, out=jz)
-                    if order >= 2:
-                        jz += u  # jb d1 + 2 hb d2 jz
-                np.copyto(Zb[:, :n], zb)
-            w, (w_end, b_end) = self.weights[i], ends[2 * i : 2 * i + 2]
-            np.matmul(Zb.transpose(0, 2, 1), S_prev, out=grads[w_end - w.size : w_end].reshape(w.shape))
-            np.sum(Zb[:, :n], axis=1, out=grads[w_end:b_end].reshape(self.biases[i].shape))
-            if i > 0:
-                np.matmul(Zb, w, out=S_prev)
+        grad_w = [grads[end - w.size : end].reshape(w.shape) for w, end in zip(self.weights, ends[::2])]
+        grad_b = [grads[end - b.size : end].reshape(b.shape) for b, end in zip(self.biases, ends[1::2])]
+        for k in tape.blocks:
+            for i in reversed(range(len(self.weights))):
+                S_prev, Zb, derivs = tape.S[i][k], tape.Z[i][k], [a[k] for a in tape.D[i]]
+                if derivs:
+                    # Zb overwrites Z block by block, once every term that reads the block is taken.
+                    Sb, d1 = tape.S[i + 1][k], derivs[0]
+                    zb, u, v = [a[: len(Zb)] for a in tape.scratch[i]]
+                    np.multiply(Sb[:, :n], d1, out=zb)
+                    for j, rows in enumerate(J):
+                        jz, jb = Zb[:, rows], Sb[:, rows]
+                        zb += np.multiply(np.multiply(jb, derivs[1], out=u), jz, out=u)  # jb d2 jz
+                        if order >= 2:
+                            hz, hb = Zb[:, H[j]], Sb[:, H[j]]
+                            np.multiply(np.multiply(derivs[2], jz, out=u), jz, out=u)
+                            u += np.multiply(derivs[1], hz, out=v)
+                            zb += np.multiply(hb, u, out=u)  # hb (d3 jz jz + d2 hz)
+                            np.multiply(np.multiply(np.multiply(2.0, hb, out=u), derivs[1], out=u), jz, out=u)
+                            np.multiply(hb, d1, out=hz)
+                        np.multiply(jb, d1, out=jz)
+                        if order >= 2:
+                            jz += u  # jb d1 + 2 hb d2 jz
+                    np.copyto(Zb[:, :n], zb)
+                np.matmul(Zb.transpose(0, 2, 1), S_prev, out=grad_w[i][k])
+                np.sum(Zb[:, :n], axis=1, out=grad_b[i][k])
+                if i > 0:
+                    np.matmul(Zb, self.weights[i][k], out=S_prev)
         self._spare = tape
         return grads
 

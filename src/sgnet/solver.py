@@ -133,7 +133,7 @@ def validation_error(
     if x_grid is None:
         x_grid = default_validation_grid(field_.spatial_dim)
     x_grid = np.atleast_2d(np.asarray(x_grid, dtype=float))
-    record = net.evaluate(x_grid, order=2)
+    _, u_grads, u_laps = net.evaluate_grid(x_grid, order=2)
     a_values = field_.coeff_values(x_grid)
     a_grads = field_.coeff_grads(x_grid)
     f_values = field_.forcing_values(x_grid)
@@ -145,10 +145,10 @@ def validation_error(
         p_matrix = basis_matrix(basis, block)
         a_bar = p_matrix @ a_values.T
         f_bar = p_matrix @ f_values.T
-        u_lap = p_matrix @ record.laplacian.T
+        u_lap = p_matrix @ u_laps.T
         residual = a_bar * u_lap + f_bar
         for j in range(field_.spatial_dim):
-            residual += (p_matrix @ a_grads[:, :, j].T) * (p_matrix @ record.grad[:, :, j].T)
+            residual += (p_matrix @ a_grads[:, :, j].T) * (p_matrix @ u_grads[:, :, j].T)
         total += float(np.sum(residual * residual))
     return total / (n_samples * x_grid.shape[0])
 

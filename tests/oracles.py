@@ -248,6 +248,10 @@ class ExactCoefficientNet:
         record.n_points = x.shape[0]
         return record
 
+    def evaluate_grid(self, x, order=1):
+        record = self.evaluate(x, order)
+        return record.value, record.grad, record.laplacian
+
     def param_grad(self, record, d_value=None, d_grad=None, d_lap=None):
         """Keep the cotangents a risk passes in ``cotangents``; there are no parameters."""
         self.cotangents = {"value": d_value, "grad": d_grad, "lap": d_lap}

@@ -8,16 +8,20 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
+from sgnet import net as net_module
 from sgnet.fields import field_model, make_spectral_field
+from sgnet.metrics import midpoint_grid
 from sgnet.net import (
     BranchSpec,
     MultiBranchNet,
     _activation,
     enforcer_for,
+    tape_nbytes,
     unit_interval_enforcer,
     unit_square_enforcer,
 )
-from sgnet.solver import strong_risk
+from sgnet.reference import Mesh2D
+from sgnet.solver import strong_risk, validation_error
 from sgnet.spectral import PolyFamily, galerkin_tensor, total_degree_basis
 
 
@@ -379,6 +383,75 @@ class TestTapeReuse:
         assert peak < layer
         assert first[0] == second[0]
         np.testing.assert_array_equal(first[1], second[1])
+
+
+class TestBranchBlocks:
+    """Running the layer stack block of branches by block changes no result."""
+
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("order", [0, 1, 2])
+    def test_blocks_are_invisible(self, monkeypatch, d, order):
+        n, K = 6, 5
+        x = np.random.default_rng(order).uniform(0.1, 0.9, size=(n, d))
+        spec = small_net(d=d).spec
+        # One-branch blocks, blocks of two (5 = 2 + 2 + 1) and one whole-net block.
+        budgets = {1: 1, 2: tape_nbytes(spec, 2, n, order), K: 1 << 40}
+        results = {}
+        for block, budget in budgets.items():
+            monkeypatch.setattr(net_module, "_BLOCK_BYTES", budget)
+            for with_lap in (True, False) if order == 2 else (True,):
+                net = small_net(seed=4, d=d, branches=K)
+                record = net.evaluate(x, order)
+                tape = record._tape
+                assert tape.scratch[0][0].shape[0] == block
+                assert tape.S[0].base.nbytes == tape_nbytes(spec, K, n, order)
+                results[block, with_lap] = record, net.param_grad(record, **cotangents(record, 3, with_lap))
+        for (block, with_lap), (record, grad) in results.items():
+            whole, whole_grad = results[K, with_lap]
+            for name in ("value", "grad", "laplacian"):
+                np.testing.assert_array_equal(getattr(record, name), getattr(whole, name))
+            np.testing.assert_array_equal(grad, whole_grad)
+
+
+class TestEvaluateGrid:
+    """Chunked evaluation of a point set: the results of one call, on a chunk-sized tape."""
+
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("order", [0, 1, 2])
+    def test_chunks_are_invisible(self, monkeypatch, d, order):
+        x = np.random.default_rng(d).uniform(0.05, 0.95, size=(11, d))
+        net = small_net(seed=2, d=d)
+        expected = net.evaluate(x, order)
+        monkeypatch.setattr(net_module, "_GRID_CHUNK", 4)
+        chunked = net.evaluate_grid(x, order)
+        for name, array in zip(("value", "grad", "laplacian"), chunked):
+            if getattr(expected, name) is None:
+                assert array is None
+            else:
+                np.testing.assert_array_equal(array, getattr(expected, name))
+
+    def test_validation_residual_does_not_depend_on_chunks(self, monkeypatch):
+        basis = total_degree_basis(2, 1, PolyFamily.LEGENDRE)
+        field = make_spectral_field(field_model("exp2", 2), basis)
+        net = small_net(seed=5, d=2, branches=basis.size)
+        expected = validation_error(net, field, basis, n_samples=50, seed=1)
+        monkeypatch.setattr(net_module, "_GRID_CHUNK", 100)
+        assert validation_error(net, field, basis, n_samples=50, seed=1) == expected
+
+    def test_metric_grid_needs_no_full_grid_tape(self):
+        spec = BranchSpec(2, (35,) * 5, ("swish",) * 5 + ("linear",))
+        net = MultiBranchNet(spec, n_branches=9, seed=1)
+        points = midpoint_grid(Mesh2D(64)).points
+        tracemalloc.start()
+        try:
+            value, grad, _ = net.evaluate_grid(points, order=1)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert value.shape == (4096, 9) and grad.shape == (4096, 9, 2)
+        assert peak < tape_nbytes(spec, 9, 4096, order=1)
+        # The chunk tape is freed with the call, as a record's tape is.
+        assert held - value.nbytes - grad.nbytes < tape_nbytes(spec, 9, net_module._GRID_CHUNK, order=1)
 
 
 class TestPersistence:
