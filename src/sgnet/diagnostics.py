@@ -157,7 +157,8 @@ def _check_optimizer_and_stream() -> str:
 
 def _check_fem_nodal_exactness() -> str:
     mesh = Mesh1D(64)
-    solution = fem_pathwise(mesh, lambda x: (np.ones(len(x)), np.ones(len(x))))
+    ones = np.ones(len(mesh.quad_points))
+    solution = fem_pathwise(mesh, ones, ones)
     deviation = np.max(np.abs(solution - mesh.nodes * (1 - mesh.nodes) / 2))
     if deviation > 1e-12:
         raise AssertionError(f"nodal deviation {deviation:.2e}")

@@ -44,6 +44,7 @@ __all__ = [
     "exp3_diffusion_grad",
     "field_model",
     "make_spectral_field",
+    "pathwise_sampler",
     "sample_pathwise",
     "draw_samples",
 ]
@@ -299,24 +300,39 @@ def draw_samples(family: PolyFamily, n_vars: int, n: int, rng: np.random.Generat
     return rng.uniform(-1.0, 1.0, size=(n, n_vars))
 
 
-def sample_pathwise(model: FieldModel, y: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Closed-form field values (a(y, x), f(y, x)) for one sample ``y`` on points ``x``."""
-    y = np.asarray(y, dtype=float).ravel()
-    if y.size != model.n_vars:
-        raise ValueError(f"sample has {y.size} coordinates, model has {model.n_vars}")
+def pathwise_sampler(model: FieldModel, x: np.ndarray) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]:
+    """Closed-form field values on fixed points ``x``, as a function of one sample ``y``.
+
+    The factors of the field that depend on ``x`` alone (the exp2 level and
+    bumps, the exp3 KL amplitudes) are computed here, once; the returned
+    function forms ``(a(y, x), f(y, x))`` from them for each sample.
+    """
     x = np.atleast_2d(np.asarray(x, dtype=float))
-    n_points = x.shape[0]
-    ones = np.ones(n_points)
-    if model.kind == "exp1":
-        return ones, abs(y[0] - 1.0) * ones
+    ones = np.ones(x.shape[0])
+    ones.flags.writeable = False  # shared by the values of every sample
     if model.kind == "exp2":
         c, _ = _exp2_bumps(model.n_vars, x)
         x1, x2 = x[:, 0], x[:, 1]
-        bubble = x1 * x2 * (1.0 - x1) * (1.0 - x2)
-        a = EXP2_MEAN_LEVEL - bubble - 0.5 * (c @ (y + 1.0))
-        return a, ones
-    sigma = kl_sigma(x[:, 0], model.n_vars)
-    return np.exp(sigma @ y), ones
+        level = EXP2_MEAN_LEVEL - x1 * x2 * (1.0 - x1) * (1.0 - x2)
+    elif model.kind == "exp3":
+        sigma = kl_sigma(x[:, 0], model.n_vars)
+
+    def sample(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        y = np.asarray(y, dtype=float).ravel()
+        if y.size != model.n_vars:
+            raise ValueError(f"sample has {y.size} coordinates, model has {model.n_vars}")
+        if model.kind == "exp1":
+            return ones, abs(y[0] - 1.0) * ones
+        if model.kind == "exp2":
+            return level - 0.5 * (c @ (y + 1.0)), ones
+        return np.exp(sigma @ y), ones
+
+    return sample
+
+
+def sample_pathwise(model: FieldModel, y: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Closed-form field values (a(y, x), f(y, x)) for one sample ``y`` on points ``x``."""
+    return pathwise_sampler(model, x)(y)
 
 
 @dataclass(frozen=True)

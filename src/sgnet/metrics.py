@@ -15,7 +15,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .fields import FieldModel, draw_samples, sample_pathwise
+from .fields import FieldModel, draw_samples, pathwise_sampler
 from .net import MultiBranchNet
 from .reference import CoupledSolution, Mesh1D, Mesh2D, fem_pathwise
 from .spectral import OrderedBasis, basis_matrix
@@ -174,8 +174,12 @@ def _spectral_reconstruction(
 def net_evaluator(
     net: MultiBranchNet, basis: OrderedBasis, grid: SpatialGrid, scale: float = 1.0
 ) -> PathwiseEvaluator:
-    """Reconstruction sum_k U_k(x) p_k(y) of a trained network on the grid."""
+    """Reconstruction sum_k U_k(x) p_k(y) of a trained network on the grid.
+
+    Only the coefficients on the grid outlive the call: the net's tape is freed.
+    """
     values, grads, _ = net.evaluate_grid(grid.points, order=1)
+    net.release_tape()
     return _spectral_reconstruction(basis, scale * values, scale * grads)
 
 
@@ -183,52 +187,74 @@ def coupled_evaluator(
     solution: CoupledSolution, basis: OrderedBasis, grid: SpatialGrid
 ) -> PathwiseEvaluator:
     """Reconstruction of a coupled-FEM solution, linear in space on each element."""
-    values, grads = _interp_1d(solution.mesh, solution.coeffs, grid.points[:, 0])
-    return _spectral_reconstruction(basis, values.T, grads.T[:, :, None])
+    values, grads = _interpolant(solution.mesh, grid.points)(solution.coeffs)
+    return _spectral_reconstruction(basis, values.T, grads.transpose(1, 0, 2))
 
 
-def _interp_1d(mesh: Mesh1D, nodal: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """P1 interpolant and its slope at ``x``, for nodal values along the last axis."""
-    elem = np.clip((x / mesh.h).astype(int), 0, mesh.n_elem - 1)
-    t = (x - mesh.nodes[elem]) / mesh.h
-    left, right = nodal[..., elem], nodal[..., elem + 1]
-    return (1.0 - t) * left + t * right, (right - left) / mesh.h
+def _interpolant(
+    mesh: Mesh1D | Mesh2D, points: np.ndarray
+) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]:
+    """P1 (1-D) or Q1 (2-D) interpolation of nodal values at fixed points.
 
-
-def _interp_2d(mesh: Mesh2D, nodal: np.ndarray, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    The cell and local coordinates of every point are found here, once.  The
+    returned function maps nodal values (along the last axis in 1-D, of
+    shape (n + 1, n + 1) in 2-D) to the interpolant and its gradient, of
+    shapes (..., L) and (..., L, d).
+    """
     h = mesh.h
-    ix = np.clip((pts[:, 0] / h).astype(int), 0, mesh.n - 1)
-    iy = np.clip((pts[:, 1] / h).astype(int), 0, mesh.n - 1)
-    tx = pts[:, 0] / h - ix
-    ty = pts[:, 1] / h - iy
-    c00 = nodal[ix, iy]
-    c10 = nodal[ix + 1, iy]
-    c11 = nodal[ix + 1, iy + 1]
-    c01 = nodal[ix, iy + 1]
-    value = (
-        c00 * (1 - tx) * (1 - ty) + c10 * tx * (1 - ty) + c11 * tx * ty + c01 * (1 - tx) * ty
-    )
-    gx = ((c10 - c00) * (1 - ty) + (c11 - c01) * ty) / h
-    gy = ((c01 - c00) * (1 - tx) + (c11 - c10) * tx) / h
-    return value, np.stack([gx, gy], axis=1)
+    if isinstance(mesh, Mesh1D):
+        x = points[:, 0]
+        elem = np.clip((x / h).astype(int), 0, mesh.n_elem - 1)
+        t = (x - mesh.nodes[elem]) / h
+
+        def interpolate_1d(nodal: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            left, right = nodal[..., elem], nodal[..., elem + 1]
+            return (1.0 - t) * left + t * right, ((right - left) / h)[..., None]
+
+        return interpolate_1d
+
+    ix = np.clip((points[:, 0] / h).astype(int), 0, mesh.n - 1)
+    iy = np.clip((points[:, 1] / h).astype(int), 0, mesh.n - 1)
+    tx = points[:, 0] / h - ix
+    ty = points[:, 1] / h - iy
+    sx, sy = 1 - tx, 1 - ty
+    stride = mesh.n + 1
+    corner = ix * stride + iy  # flat index of each point's lower-left node
+
+    def interpolate_2d(nodal: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        flat = nodal.ravel()
+        c00 = flat[corner]
+        c10 = flat[corner + stride]
+        c11 = flat[corner + stride + 1]
+        c01 = flat[corner + 1]
+        value = c00 * sx * sy + c10 * tx * sy + c11 * tx * ty + c01 * sx * ty
+        gx = ((c10 - c00) * sy + (c11 - c01) * ty) / h
+        gy = ((c01 - c00) * sx + (c11 - c10) * tx) / h
+        return value, np.stack([gx, gy], axis=1)
+
+    return interpolate_2d
 
 
 def fem_evaluator(
     model: FieldModel, mesh: Mesh1D | Mesh2D, grid: SpatialGrid
 ) -> PathwiseEvaluator:
-    """Pathwise FEM reference on the grid; one solve per realization."""
+    """Pathwise FEM reference on the grid; one solve per realization.
+
+    The part that no realization changes is set up once: here, the field's
+    factors at the mesh's quadrature points and the grid's interpolation
+    cells; on the mesh's first solve, its dof map and band scatter slots.
+    Each realization then forms its field, assembles and solves it, and is
+    interpolated onto the grid.
+    """
+    field_values = pathwise_sampler(model, mesh.quad_points)
+    interpolate = _interpolant(mesh, grid.points)
 
     def evaluate(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         m = samples.shape[0]
         values = np.empty((m, grid.points.shape[0]))
         grads = np.empty((m, grid.points.shape[0], grid.dim))
         for i in range(m):
-            y = samples[i]
-            nodal = fem_pathwise(mesh, lambda x: sample_pathwise(model, y, x))
-            if isinstance(mesh, Mesh1D):
-                values[i], grads[i, :, 0] = _interp_1d(mesh, nodal, grid.points[:, 0])
-            else:
-                values[i], grads[i] = _interp_2d(mesh, nodal, grid.points)
+            values[i], grads[i] = interpolate(fem_pathwise(mesh, *field_values(samples[i])))
         return values, grads
 
     return evaluate

@@ -14,10 +14,12 @@ requires activation derivatives up to third order.
 
 For speed, the value rows and the per-direction Jacobian and Hessian rows of
 a batch are stacked into a single matrix per layer, so each linear layer is
-one batched matrix product.  Each net reuses one tape for one (points, order)
-shape: the evaluation writes every layer and the activation derivatives into
-it, the reverse pass overwrites it with the cotangents and hands it back, so a
-training step allocates only its outputs.  A record is pulled back once.
+one batched matrix product.  Each net reuses one tape: the evaluation writes
+every layer and the activation derivatives into it, the reverse pass
+overwrites it with the cotangents and hands it back, so a training step
+allocates only its outputs.  An evaluation of another (points, order) shape
+lays its tape out in the same buffer when it fits.  A record is pulled back
+once.
 
 Both passes run branch block by branch block: every layer of one block of
 branches is evaluated (or pulled back) before the next block starts, so a
@@ -220,17 +222,20 @@ class _Tape:
     ``scratch[i]`` three arrays of the value rows' shape for one block of
     branches; ``blocks`` slices the leading branch axis of every other array
     into blocks.  The reverse pass overwrites ``Z[i]`` with its cotangent and
-    ``S[i]`` with that of layer i's input.
+    ``S[i]`` with that of layer i's input.  Every array is a view of ``buf``,
+    which is allocated here unless a buffer at least ``tape_nbytes`` long is
+    given.
     """
 
-    __slots__ = ("key", "blocks", "S", "Z", "D", "scratch")
+    __slots__ = ("key", "buf", "blocks", "S", "Z", "D", "scratch")
 
-    def __init__(self, spec: BranchSpec, K: int, n: int, order: int) -> None:
+    def __init__(self, spec: BranchSpec, K: int, n: int, order: int, buf: np.ndarray | None = None) -> None:
         self.key = (n, order)
         B = min(K, _block_branches(spec, n, order))
         self.blocks = [slice(k0, k0 + B) for k0 in range(0, K, B)]
         d, rows = spec.input_dim, n * (1 + spec.input_dim * order)
-        buf = np.empty(tape_nbytes(spec, K, n, order) // 8)
+        words = tape_nbytes(spec, K, n, order) // 8
+        self.buf = buf = np.empty(words) if buf is None else buf
         offset = 0
 
         def take(*shape):
@@ -250,7 +255,7 @@ class _Tape:
             self.S.append(self.Z[-1] if linear else take(K, rows, w))
             self.D.append([] if linear else [take(K, n, w) for _ in range(order)] + [self.Z[-1][:, :n]])
             self.scratch.append([] if linear else [a[: B * n * w].reshape(B, n, w) for a in flat])
-        assert offset == buf.size
+        assert offset == words <= buf.size
 
 
 @dataclass(eq=False, repr=False)
@@ -340,10 +345,13 @@ class MultiBranchNet:
         if d != self.input_dim:
             raise ValueError(f"points have dimension {d}, network expects {self.input_dim}")
         tape, self._spare = self._spare, None
-        if tape is not None and tape.key != (n, order):
-            tape = None  # free the spare before allocating another shape
-        if tape is None:
-            tape = _Tape(self.spec, self.n_branches, n, order)
+        if tape is None or tape.key != (n, order):
+            # Another shape is laid out in the spare's buffer when it fits; a
+            # spare too small is freed before the new buffer is allocated.
+            words = tape_nbytes(self.spec, self.n_branches, n, order) // 8
+            buf = tape.buf if tape is not None and tape.buf.size >= words else None
+            tape = None
+            tape = _Tape(self.spec, self.n_branches, n, order, buf)
         tape.S[0][:, :n, :] = x
         J, H = _derivative_rows(n, d, order)
 
@@ -390,22 +398,29 @@ class MultiBranchNet:
 
         The points are evaluated in chunks of ``_GRID_CHUNK``, the last one
         ending at the last point, and each chunk's tape is handed back at once,
-        so one chunk-sized tape serves the whole grid and is freed at the end,
-        as a record's tape is; ``grad`` and ``laplacian`` are None below
-        orders 1 and 2.
+        so one tape serves the whole grid.  The net's spare is left as it was
+        found: a net without one frees the chunk tape at the end, as a record's
+        tape is, and a net with one keeps the chunk tape's buffer as its spare.
+        ``grad`` and ``laplacian`` are None below orders 1 and 2.
         """
         x = np.atleast_2d(np.asarray(x, dtype=float))
+        had_spare = self._spare is not None
         chunks = []
         for start in range(0, len(x), _GRID_CHUNK):
             first = min(start, max(len(x) - _GRID_CHUNK, 0))
             record = self.evaluate(x[first : first + _GRID_CHUNK], order)
             self._spare, record._tape = record._tape, None
             chunks.append((start - first, record))
-        self._spare = None
+        if not had_spare:
+            self._spare = None
         return tuple(
             np.concatenate([getattr(r, name)[skip:] for skip, r in chunks]) if order >= least else None
             for name, least in (("value", 0), ("grad", 1), ("laplacian", 2))
         )
+
+    def release_tape(self) -> None:
+        """Free the spare tape; the next evaluation allocates a new one."""
+        self._spare = None
 
     # -- parameter gradients ----------------------------------------------------
 

@@ -10,7 +10,7 @@ minimizes the same energy the Ritz-trained network minimizes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import LinAlgError, solveh_banded
@@ -69,6 +69,24 @@ class Mesh1D:
     def midpoints(self) -> np.ndarray:
         return (np.arange(self.n_elem) + 0.5) * self.h
 
+    @cached_property
+    def _quadrature(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Two Gauss points per element, their Lebesgue weights and the hat value t there.
+
+        Shapes (n_elem, 2), (1, 2) and (n_elem, 2); ``t`` is the right hat
+        function of the element, ``1 - t`` the left one.
+        """
+        rule = gauss_rule(PolyFamily.LEGENDRE, 2)
+        left = self.nodes[:-1]
+        qp = left[:, None] + (0.5 * rule.nodes + 0.5)[None, :] * self.h
+        qw = rule.weights[None, :] * self.h
+        return qp, qw, (qp - left[:, None]) / self.h
+
+    @cached_property
+    def quad_points(self) -> np.ndarray:
+        """Element quadrature points, shape (2 n_elem, 1), where :func:`fem_pathwise` takes the field."""
+        return _read_only(self._quadrature[0].reshape(-1, 1))
+
 
 @dataclass(frozen=True)
 class Mesh2D:
@@ -92,6 +110,32 @@ class Mesh2D:
     def centers1d(self) -> np.ndarray:
         return (np.arange(self.n) + 0.5) * self.h
 
+    @cached_property
+    def quad_points(self) -> np.ndarray:
+        """2 x 2 Gauss points of every element, shape (4 n^2, 2), where :func:`fem_pathwise` takes the field."""
+        corners = np.indices((self.n, self.n)).reshape(2, -1).T * self.h  # row-major over (ex, ey)
+        return _read_only((corners[:, None, :] + _Q1_POINTS[None, :, :] * self.h).reshape(-1, 2))
+
+    @cached_property
+    def _scatter(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Flat (element, i, j) entries of the element matrices that enter the upper band, their
+        slots in the flattened (n + 1, n_dof) band, and the global node of every (element, i).
+
+        Interior nodes are numbered row-major, so the interior stiffness has half-bandwidth n.
+        """
+        n, stride = self.n, self.n + 1
+        ex, ey = np.indices((n, n)).reshape(2, -1)
+        base = ex * stride + ey
+        local_nodes = np.stack([base, base + stride, base + stride + 1, base + 1], axis=1)
+        n_dof = (n - 1) ** 2
+        node_dof = np.full((stride, stride), -1)
+        node_dof[1:-1, 1:-1] = np.arange(n_dof).reshape(n - 1, n - 1)
+        dofs = node_dof.ravel()[local_nodes]
+        rows, cols = dofs[:, :, None], dofs[:, None, :]
+        keep = (rows >= 0) & (rows <= cols)  # boundary dofs are -1
+        slots = ((n + rows - cols) * n_dof + cols)[keep]
+        return np.flatnonzero(keep), slots, local_nodes.ravel()
+
 
 # 2 x 2 Gauss points on the reference square (weights 1/4 each), the bilinear
 # shape values there, and the per-point reference stiffness w_q grad_i . grad_j.
@@ -113,6 +157,11 @@ _Q1_GRADS = np.stack(
 _Q1_STIFFNESS = 0.25 * np.einsum("qid,qjd->qij", _Q1_GRADS, _Q1_GRADS)
 
 
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
 def _solve_spd_banded(band: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Cholesky solve of a symmetric positive definite system in upper band storage.
 
@@ -129,21 +178,12 @@ def _solve_spd_banded(band: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         raise FieldPositivityError(message) from exc
 
 
-def _fem_1d(mesh: Mesh1D, field_fn: Callable) -> np.ndarray:
+def _fem_1d(mesh: Mesh1D, a_q: np.ndarray, f_q: np.ndarray) -> np.ndarray:
     """Linear-element solve of -(a u')' = f with zero boundary values."""
     h = mesh.h
-    rule = gauss_rule(PolyFamily.LEGENDRE, 2)
-    # Element quadrature points and Lebesgue weights on each element.
-    left = mesh.nodes[:-1]
-    qp = left[:, None] + (0.5 * rule.nodes + 0.5)[None, :] * h
-    qw = rule.weights[None, :] * h
-    a_q, f_q = (np.asarray(v, dtype=float).reshape(qp.shape) for v in field_fn(qp.reshape(-1, 1)))
-    if np.any(a_q <= 0.0):
-        raise FieldPositivityError("diffusion coefficient is not positive on the mesh")
+    _, qw, t = mesh._quadrature
     a_int = (a_q * qw).sum(axis=1)  # integral of a over each element
     stiff = a_int / (h * h)
-    # Hat-function values at the element quadrature points.
-    t = (qp - left[:, None]) / h
     load_left = (f_q * (1.0 - t) * qw).sum(axis=1)
     load_right = (f_q * t * qw).sum(axis=1)
 
@@ -155,40 +195,19 @@ def _fem_1d(mesh: Mesh1D, field_fn: Callable) -> np.ndarray:
     return solution
 
 
-def _fem_2d(mesh: Mesh2D, field_fn: Callable) -> np.ndarray:
+def _fem_2d(mesh: Mesh2D, a_q: np.ndarray, f_q: np.ndarray) -> np.ndarray:
     """Bilinear-element solve on the unit square; returns nodal values, shape (n+1, n+1).
 
-    Interior nodes are numbered row-major, so the interior stiffness has
-    half-bandwidth n; element matrices are summed straight into its band.
+    Element matrices are summed straight into the band of the interior stiffness.
     """
-    n = mesh.n
-    h = mesh.h
-    stride = n + 1
-    ex, ey = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
-    corners = np.stack([ex.ravel(), ey.ravel()], axis=1) * h  # lower-left corner of each element
-    n_elem = corners.shape[0]
-    # Physical quadrature points per element, flattened to (n_elem * 4, 2).
-    qp = corners[:, None, :] + _Q1_POINTS[None, :, :] * h
-    a_q, f_q = (np.asarray(v, dtype=float).reshape(n_elem, 4) for v in field_fn(qp.reshape(-1, 2)))
-    if np.any(a_q <= 0.0):
-        raise FieldPositivityError("diffusion coefficient is not positive on the mesh")
-
+    n, h, stride = mesh.n, mesh.h, mesh.n + 1
+    kept, slots, nodes = mesh._scatter
     # Local stiffness: the h^2 Jacobian cancels the 1/h^2 of physical gradients.
     k_local = np.einsum("eq,qij->eij", a_q, _Q1_STIFFNESS)
     f_local = f_q @ _Q1_LOAD * (h * h)
-
-    base = ex.ravel() * stride + ey.ravel()
-    local_nodes = np.stack([base, base + stride, base + stride + 1, base + 1], axis=1)
     n_dof = (n - 1) ** 2
-    node_dof = np.full((stride, stride), -1)
-    node_dof[1:-1, 1:-1] = np.arange(n_dof).reshape(n - 1, n - 1)
-    dofs = node_dof.ravel()[local_nodes]
-    rows, cols = dofs[:, :, None], dofs[:, None, :]
-    # Upper-triangle entries between interior nodes; boundary dofs are -1.
-    keep = (rows >= 0) & (rows <= cols)
-    slots = ((n + rows - cols) * n_dof + cols)[keep]
-    band = np.bincount(slots, weights=k_local[keep], minlength=(n + 1) * n_dof)
-    rhs = np.bincount(local_nodes.ravel(), weights=f_local.ravel(), minlength=stride**2)
+    band = np.bincount(slots, weights=k_local.reshape(-1)[kept], minlength=(n + 1) * n_dof)
+    rhs = np.bincount(nodes, weights=f_local.ravel(), minlength=stride**2)
 
     solution = np.zeros((stride, stride))
     solution[1:-1, 1:-1] = _solve_spd_banded(
@@ -197,15 +216,21 @@ def _fem_2d(mesh: Mesh2D, field_fn: Callable) -> np.ndarray:
     return solution
 
 
-def fem_pathwise(mesh: Mesh1D | Mesh2D, field_fn: Callable) -> np.ndarray:
+def fem_pathwise(mesh: Mesh1D | Mesh2D, a_q: np.ndarray, f_q: np.ndarray) -> np.ndarray:
     """Galerkin solution of -div(a grad u) = f with homogeneous Dirichlet data.
 
-    ``field_fn(x)`` maps points of shape (n, d) to the values ``(a, f)``, each
-    of shape (n,), as ``sample_pathwise`` returns them for one realization.
+    ``a_q`` and ``f_q`` hold one realization's diffusion and forcing at the
+    points ``mesh.quad_points``, one value per point, as
+    :func:`~sgnet.fields.pathwise_sampler` forms them.  Everything that depends
+    on the mesh alone is set up on the mesh's first solve and reused.
     """
+    per_element = (mesh.n_elem, 2) if isinstance(mesh, Mesh1D) else (mesh.n**2, 4)
+    a_q, f_q = (np.asarray(v, dtype=float).reshape(per_element) for v in (a_q, f_q))
+    if np.any(a_q <= 0.0):
+        raise FieldPositivityError("diffusion coefficient is not positive on the mesh")
     if isinstance(mesh, Mesh1D):
-        return _fem_1d(mesh, field_fn)
-    return _fem_2d(mesh, field_fn)
+        return _fem_1d(mesh, a_q, f_q)
+    return _fem_2d(mesh, a_q, f_q)
 
 
 # -- coupled stochastic Galerkin FEM ------------------------------------------------

@@ -143,10 +143,11 @@ def validation_error(
     for start in range(0, n_samples, chunk):
         block = samples[start : start + chunk]
         p_matrix = basis_matrix(basis, block)
-        a_bar = p_matrix @ a_values.T
-        f_bar = p_matrix @ f_values.T
-        u_lap = p_matrix @ u_laps.T
-        residual = a_bar * u_lap + f_bar
+        # a u_lap + f, built in place: the net's tape stays alive for the next
+        # training step, so the block keeps few temporaries of its own.
+        residual = p_matrix @ a_values.T
+        residual *= p_matrix @ u_laps.T
+        residual += p_matrix @ f_values.T
         for j in range(field_.spatial_dim):
             residual += (p_matrix @ a_grads[:, :, j].T) * (p_matrix @ u_grads[:, :, j].T)
         total += float(np.sum(residual * residual))

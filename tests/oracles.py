@@ -193,6 +193,39 @@ def dense_from_upper_band(band: np.ndarray) -> np.ndarray:
     return dense
 
 
+def nodal_interpolant(nodal: np.ndarray, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """P1 (1-D) or Q1 (2-D) interpolant of nodal values on a uniform mesh of [0, 1]^d, point by point.
+
+    ``nodal`` has n + 1 entries per axis.  Each point takes the element whose
+    closed interval holds it (the left one on a shared node) and sums the
+    tensor-product hat functions of its corners, (x_right - x) / h and
+    (x - x_left) / h per axis.  Returns values (L,) and gradients (L, d).
+    """
+    n = nodal.shape[0] - 1
+    h = 1.0 / n
+    d = points.shape[1]
+    values = np.zeros(len(points))
+    grads = np.zeros((len(points), d))
+    for p, point in enumerate(points):
+        cell = [min(max(math.ceil(c * n) - 1, 0), n - 1) for c in point]
+        for corner in np.ndindex(*(2,) * d):
+            node = tuple(c + o for c, o in zip(cell, corner))
+            hats, slopes = [], []
+            for axis in range(d):
+                left = cell[axis] * h
+                if corner[axis]:
+                    hats.append((point[axis] - left) / h)
+                    slopes.append(1.0 / h)
+                else:
+                    hats.append((left + h - point[axis]) / h)
+                    slopes.append(-1.0 / h)
+            values[p] += nodal[node] * math.prod(hats)
+            for axis in range(d):
+                others = math.prod(hats[:axis] + hats[axis + 1 :])
+                grads[p, axis] += nodal[node] * slopes[axis] * others
+    return values, grads
+
+
 class AffineField:
     """Stand-in for a SpectralField with positive coefficients affine in x.
 
@@ -251,6 +284,9 @@ class ExactCoefficientNet:
     def evaluate_grid(self, x, order=1):
         record = self.evaluate(x, order)
         return record.value, record.grad, record.laplacian
+
+    def release_tape(self):
+        """There is no tape to free."""
 
     def param_grad(self, record, d_value=None, d_grad=None, d_lap=None):
         """Keep the cotangents a risk passes in ``cotangents``; there are no parameters."""

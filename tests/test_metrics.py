@@ -3,11 +3,19 @@
 from __future__ import annotations
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from sgnet.fields import exp1_forcing_coeffs, field_model, make_spectral_field
+from sgnet import fields as fields_module
+from sgnet.fields import (
+    draw_samples,
+    exp1_forcing_coeffs,
+    field_model,
+    make_spectral_field,
+    sample_pathwise,
+)
 from sgnet.metrics import (
     coupled_evaluator,
     exact_exp1_evaluator,
@@ -17,10 +25,12 @@ from sgnet.metrics import (
     rel_h1_error,
     uniform_grid_1d,
 )
-from sgnet.reference import Mesh1D, sga_fem_coupled
+from sgnet.reference import Mesh1D, Mesh2D, fem_pathwise, sga_fem_coupled
 from sgnet.spectral import PolyFamily, basis_matrix, galerkin_tensor, total_degree_basis
 
-from oracles import ExactCoefficientNet
+from oracles import ExactCoefficientNet, nodal_interpolant
+
+FROZEN = Path(__file__).parent / "data" / "fem_evaluator_frozen.npz"
 
 
 def truncated_exact_net(max_degree):
@@ -294,3 +304,67 @@ class TestEvaluators:
         u2, du2 = doubled(samples)
         np.testing.assert_allclose(u2, 2 * u1, rtol=1e-15)
         np.testing.assert_allclose(du2, 2 * du1, rtol=1e-15)
+
+
+class TestFemEvaluator:
+    """The pathwise reference sets up each mesh once and solves each realization alone."""
+
+    CASES = [
+        pytest.param("exp2", 8, Mesh2D(8), id="exp2-mesh8"),
+        pytest.param("exp3", 6, Mesh1D(32), id="exp3-mesh32"),
+    ]
+
+    @pytest.mark.parametrize("kind, n_vars, mesh", CASES)
+    def test_matches_per_sample_solves(self, kind, n_vars, mesh):
+        # Oracle: the field of each sample on its own, one solve, and a
+        # point-by-point interpolant of the nodal values.
+        model = field_model(kind, n_vars)
+        grid = midpoint_grid(mesh)
+        samples = draw_samples(model.family, n_vars, 5, np.random.default_rng(12))
+        values, grads = fem_evaluator(model, mesh, grid)(samples)
+        for i, y in enumerate(samples):
+            nodal = fem_pathwise(mesh, *sample_pathwise(model, y, mesh.quad_points))
+            expected, expected_grad = nodal_interpolant(nodal, grid.points)
+            np.testing.assert_allclose(values[i], expected, rtol=1e-13, atol=0.0)
+            scale = np.max(np.abs(expected_grad))
+            np.testing.assert_allclose(grads[i], expected_grad, rtol=0.0, atol=1e-13 * scale)
+
+    @pytest.mark.parametrize("kind, n_vars, mesh", CASES)
+    def test_matches_frozen_result(self, kind, n_vars, mesh):
+        # Values and gradients computed when the field and the mesh set-up
+        # were still redone for every sample; hoisting them changes no bit.
+        with np.load(FROZEN) as frozen:
+            samples = frozen[f"{kind}_samples"]
+            expected = frozen[f"{kind}_values"], frozen[f"{kind}_grads"]
+        model = field_model(kind, n_vars)
+        values, grads = fem_evaluator(model, mesh, midpoint_grid(mesh))(samples)
+        np.testing.assert_array_equal(values, expected[0])
+        np.testing.assert_array_equal(grads, expected[1])
+
+    @pytest.mark.parametrize(
+        "kind, n_vars, mesh, factor",
+        [
+            pytest.param("exp2", 3, Mesh2D(8), "_exp2_bumps", id="exp2"),
+            pytest.param("exp3", 3, Mesh1D(32), "kl_sigma", id="exp3"),
+        ],
+    )
+    def test_sample_independent_factors_are_computed_once(self, monkeypatch, kind, n_vars, mesh, factor):
+        calls = []
+        original = getattr(fields_module, factor)
+
+        def counted(*args, **kwargs):
+            calls.append(factor)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(fields_module, factor, counted)
+        model = field_model(kind, n_vars)
+        grid = midpoint_grid(mesh)
+
+        def zero(samples):
+            return np.zeros((len(samples), len(grid.points))), np.zeros((len(samples), *grid.points.shape))
+
+        report = rel_h1_error(
+            fem_evaluator(model, mesh, grid), {"zero": zero}, grid, model, n_mc=6, seed=0, chunk=3
+        )["zero"]
+        assert report.rel_error == 1.0
+        assert len(calls) == 1

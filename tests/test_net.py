@@ -10,7 +10,7 @@ from scipy.special import expit
 
 from sgnet import net as net_module
 from sgnet.fields import field_model, make_spectral_field
-from sgnet.metrics import midpoint_grid
+from sgnet.metrics import midpoint_grid, net_evaluator
 from sgnet.net import (
     BranchSpec,
     MultiBranchNet,
@@ -20,8 +20,8 @@ from sgnet.net import (
     unit_interval_enforcer,
     unit_square_enforcer,
 )
-from sgnet.reference import Mesh2D
-from sgnet.solver import strong_risk, validation_error
+from sgnet.reference import Mesh1D, Mesh2D
+from sgnet.solver import TrainConfig, strong_risk, train, validation_error
 from sgnet.spectral import PolyFamily, galerkin_tensor, total_degree_basis
 
 
@@ -383,6 +383,84 @@ class TestTapeReuse:
         assert peak < layer
         assert first[0] == second[0]
         np.testing.assert_array_equal(first[1], second[1])
+
+
+class TestTapeAcrossShapes:
+    """An evaluation of another shape lays its tape out in the spare's buffer when it fits."""
+
+    def test_smaller_shape_reuses_the_buffer(self):
+        x = np.random.default_rng(0).uniform(0.1, 0.9, size=(40, 2))
+        net = small_net(seed=2, d=2)
+        record = net.evaluate(x, 2)
+        buffer = record._tape.buf
+        net.param_grad(record, **cotangents(record, 1))
+        smaller = net.evaluate(x[:10], 1)
+        assert smaller._tape.buf is buffer
+        grad = net.param_grad(smaller, **cotangents(smaller, 2))
+        fresh = small_net(seed=2, d=2)
+        expected = fresh.evaluate(x[:10], 1)
+        for name in ("value", "grad"):
+            np.testing.assert_array_equal(getattr(smaller, name), getattr(expected, name))
+        np.testing.assert_array_equal(grad, fresh.param_grad(expected, **cotangents(expected, 2)))
+
+    def test_too_small_spare_is_freed_before_the_new_buffer(self):
+        x = np.random.default_rng(1).uniform(0.1, 0.9, size=(400, 1))
+        net = small_net(widths=(16, 16))
+        small = tape_nbytes(net.spec, 3, 100, 2)
+        big = tape_nbytes(net.spec, 3, 400, 2)
+        tracemalloc.start()
+        try:
+            record = net.evaluate(x[:100], 2)
+            net.param_grad(record, **cotangents(record, 0))
+            tracemalloc.reset_peak()
+            held = tracemalloc.get_traced_memory()[0]
+            net.evaluate(x, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # The spare (held) is gone before the big tape exists: the peak stays
+        # below the big tape on top of everything held.
+        assert peak - held < big - small // 2
+
+    def test_grid_evaluation_keeps_a_spare_and_the_metric_frees_it(self):
+        x = np.random.default_rng(3).uniform(0.1, 0.9, size=(30, 1))
+        net = small_net(seed=1, branches=4)
+        record = net.evaluate(x, 2)
+        net.param_grad(record, **cotangents(record, 0))
+        buffer = net._spare.buf
+        net.evaluate_grid(x[:10], order=1)
+        assert net._spare.buf is buffer
+        basis = total_degree_basis(1, 3, PolyFamily.HERMITE)
+        net_evaluator(net, basis, midpoint_grid(Mesh1D(8)))
+        assert net._spare is None
+
+    def test_ritz_training_with_validation_allocates_at_most_two_buffers(self, monkeypatch):
+        # 50 Ritz steps on exp1, validated (order 2, on the validation grid)
+        # after every epoch of 5 order-1 steps: 20 tapes in at most 2 buffers.
+        buffers = []
+        build = net_module._Tape.__init__
+
+        def recording(tape, *args, **kwargs):
+            build(tape, *args, **kwargs)
+            buffers.append(tape.buf)
+
+        monkeypatch.setattr(net_module._Tape, "__init__", recording)
+        basis = total_degree_basis(1, 3, PolyFamily.HERMITE)
+        field = make_spectral_field(field_model("exp1", 1), basis)
+        config = TrainConfig(
+            batch_size=64,
+            steps_per_epoch=5,
+            max_epochs=10,
+            patience=10,
+            risk_threshold=None,
+            validation_interval=1,
+            validation_samples=100,
+        )
+        net = small_net(branches=basis.size)
+        result = train(net, "ritz", field, galerkin_tensor(basis), config)
+        assert result.epochs == 10
+        assert len(buffers) == 20
+        assert len({id(buffer) for buffer in buffers}) <= 2
 
 
 class TestBranchBlocks:

@@ -52,20 +52,23 @@ class TestFem1D:
     def test_nodal_exactness_for_constant_data(self):
         # Linear elements are nodally exact for -u'' = 1.
         mesh = Mesh1D(64)
-        solution = fem_pathwise(mesh, lambda x: (np.ones_like(x), np.ones_like(x)))
+        x = mesh.quad_points
+        solution = fem_pathwise(mesh, np.ones_like(x), np.ones_like(x))
         exact = mesh.nodes * (1 - mesh.nodes) / 2
         assert np.max(np.abs(solution - exact)) < 1e-12
 
     def test_two_element_mesh_has_one_unknown(self):
         # The smallest mesh: u(1/2) = 1/8 for -u'' = 1.
-        solution = fem_pathwise(Mesh1D(2), lambda x: (np.ones_like(x), np.ones_like(x)))
+        x = Mesh1D(2).quad_points
+        solution = fem_pathwise(Mesh1D(2), np.ones_like(x), np.ones_like(x))
         np.testing.assert_allclose(solution, [0.0, 0.125, 0.0], rtol=0.0, atol=1e-15)
 
     def test_manufactured_variable_coefficient_is_nodally_exact(self):
         # a(x) = 1 + x and u = x (1 - x) gives f = -( (1+x) u' )' = 1 + 4x;
         # with exact element integrals the 1-D solve is nodally exact.
         mesh = Mesh1D(32)
-        sol = fem_pathwise(mesh, lambda x: (1 + x, 1 + 4 * x))
+        x = mesh.quad_points
+        sol = fem_pathwise(mesh, 1 + x, 1 + 4 * x)
         assert np.max(np.abs(sol - mesh.nodes * (1 - mesh.nodes))) < 1e-12
 
     def test_manufactured_solution_l2_convergence(self):
@@ -75,7 +78,8 @@ class TestFem1D:
         errors = []
         for n in (16, 32, 64):
             mesh = Mesh1D(n)
-            sol = fem_pathwise(mesh, lambda x: (np.exp(x), np.exp(x) * (1 + 2 * x)))
+            x = mesh.quad_points
+            sol = fem_pathwise(mesh, np.exp(x), np.exp(x) * (1 + 2 * x))
             mid = mesh.midpoints
             interp = 0.5 * (sol[:-1] + sol[1:])
             errors.append(math.sqrt(float(np.mean((interp - u_exact(mid)) ** 2))))
@@ -85,7 +89,8 @@ class TestFem1D:
     def test_positivity_guard(self):
         mesh = Mesh1D(16)
         with pytest.raises(FieldPositivityError):
-            fem_pathwise(mesh, lambda x: (x - 0.5, np.ones_like(x)))
+            x = mesh.quad_points
+            fem_pathwise(mesh, x - 0.5, np.ones_like(x))
 
 
 class TestFem2D:
@@ -96,7 +101,8 @@ class TestFem2D:
         errors = []
         for n in (8, 16, 32):
             mesh = Mesh2D(n)
-            sol = fem_pathwise(mesh, lambda p: (np.ones(p.shape[0]), f(p)))
+            p = mesh.quad_points
+            sol = fem_pathwise(mesh, np.ones(p.shape[0]), f(p))
             xx, yy = np.meshgrid(mesh.nodes1d, mesh.nodes1d, indexing="ij")
             pts = np.stack([xx.ravel(), yy.ravel()], axis=1)
             diff = sol.ravel() - u(pts)
@@ -114,7 +120,8 @@ class TestFem2D:
         errors = []
         for n in (8, 16, 32):
             mesh = Mesh2D(n)
-            sol = fem_pathwise(mesh, lambda p: (np.ones(p.shape[0]), f(p)))
+            p = mesh.quad_points
+            sol = fem_pathwise(mesh, np.ones(p.shape[0]), f(p))
             h = mesh.h
             c00 = sol[:-1, :-1]
             c10 = sol[1:, :-1]
@@ -139,7 +146,7 @@ class TestFem2D:
         rng = np.random.default_rng(0)
         y = rng.uniform(-1, 1, 2)
         mesh = Mesh2D(16)
-        sol = fem_pathwise(mesh, lambda p: sample_pathwise(model, y, p))
+        sol = fem_pathwise(mesh, *sample_pathwise(model, y, mesh.quad_points))
         assert sol.shape == (17, 17)
         interior = sol[1:-1, 1:-1]
         assert np.all(interior > 0.0)
@@ -167,9 +174,8 @@ class TestCoupledSolver:
         tensor = galerkin_tensor(basis)
         mesh = Mesh1D(32)
         coupled = sga_fem_coupled(mesh, field, tensor)
-        direct = fem_pathwise(
-            mesh, lambda x: (field.coeff_values(x)[:, 0], field.forcing_values(x)[:, 0])
-        )
+        x = mesh.quad_points
+        direct = fem_pathwise(mesh, field.coeff_values(x)[:, 0], field.forcing_values(x)[:, 0])
         np.testing.assert_allclose(coupled.coeffs[0], direct, atol=1e-11)
 
     def test_galerkin_orthogonality(self):
@@ -307,6 +313,6 @@ class TestPathwiseReference:
         mesh = Mesh1D(32)
         samples = draw_samples(model.family, model.n_vars, 5, np.random.default_rng(3))
         for y in samples:
-            nodal = fem_pathwise(mesh, lambda x: sample_pathwise(model, y, x))
+            nodal = fem_pathwise(mesh, *sample_pathwise(model, y, mesh.quad_points))
             exact = exp1_exact(float(y[0]), mesh.nodes)
             assert np.max(np.abs(nodal - exact)) < 1e-12
