@@ -15,7 +15,7 @@ from .spectral import (
     total_degree_basis,
 )
 from .fields import FieldModel, SpectralField, field_model, make_spectral_field
-from .net import BranchSpec, Enforcer, MultiBranchNet, enforcer_for
+from .net import BranchSpec, MultiBranchNet
 from .solver import SobolStream, TrainConfig, TrainResult, ritz_risk, strong_risk, train, validation_error
 from .metrics import ErrorReport, rel_h1_error
 
@@ -23,7 +23,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BranchSpec",
-    "Enforcer",
     "ErrorReport",
     "FieldModel",
     "GalerkinTensor",
@@ -35,7 +34,6 @@ __all__ = [
     "SpectralField",
     "TrainConfig",
     "TrainResult",
-    "enforcer_for",
     "field_model",
     "galerkin_tensor",
     "make_spectral_field",

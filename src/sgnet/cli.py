@@ -13,12 +13,10 @@ import argparse
 import csv
 import dataclasses
 import sys
-import time
 from dataclasses import dataclass, field as dc_field
 from pathlib import Path
 from typing import Sequence
 
-import numpy as np
 import yaml
 
 from . import diagnostics
@@ -34,8 +32,8 @@ from .metrics import (
     rel_h1_error,
     uniform_grid_1d,
 )
-from .net import BranchSpec, MultiBranchNet, enforcer_for, tape_nbytes
-from .reference import Mesh1D, Mesh2D, sga_fem_coupled
+from .net import BranchSpec, MultiBranchNet, tape_nbytes
+from .reference import FieldPositivityError, Mesh1D, Mesh2D, sga_fem_coupled
 from .solver import TrainConfig, TrainingDivergedError, train
 from .spectral import (
     PolyFamily,
@@ -330,107 +328,103 @@ def run(config: ExperimentConfig, echo=print) -> int:
     except OSError as exc:
         echo(f"cannot prepare output directory: {exc}")
         return EXIT_IO
-    writer = csv.writer(handle)
-    if fresh:
-        writer.writerow(RESULT_COLUMNS)
+    with handle:
+        writer = csv.writer(handle)
+        if fresh:
+            writer.writerow(RESULT_COLUMNS)
 
-    reference = config.metric.reference or _DEFAULT_REFERENCE[config.experiment]
-    try:
-        for n_vars in config.n_values:
-            for degree in config.p_values:
-                model = field_model(config.experiment, n_vars)
-                basis = total_degree_basis(n_vars, degree, model.family)
-                tensor = galerkin_tensor(basis)
-                train_field = make_spectral_field(model, basis, weighting=config.weighting)
-                plain_field = (
-                    train_field if config.weighting == "none" else make_spectral_field(model, basis)
-                )
-                grid, ref_eval = _reference(config, model, basis, tensor, train_field, reference)
-                trained, surrogates = {}, {}
-                diverged = None
-                for method in config.methods:
-                    tag = f"{config.experiment}_{method}_N{n_vars}_P{degree}"
-                    echo(f"[{tag}] training {basis.size} branches")
-                    spec = config.branch_spec(model.spatial_dim)
-                    net = MultiBranchNet(
-                        spec,
-                        n_branches=basis.size,
-                        enforcer=enforcer_for(model.spatial_dim),
-                        seed=config.seed_weights,
+        reference = config.metric.reference or _DEFAULT_REFERENCE[config.experiment]
+        try:
+            for n_vars in config.n_values:
+                for degree in config.p_values:
+                    model = field_model(config.experiment, n_vars)
+                    basis = total_degree_basis(n_vars, degree, model.family)
+                    tensor = galerkin_tensor(basis)
+                    train_field = make_spectral_field(model, basis, weighting=config.weighting)
+                    plain_field = (
+                        train_field if config.weighting == "none" else make_spectral_field(model, basis)
                     )
-                    loss_kind = "strong" if method == "galerkin" else "ritz"
-                    # The strong residual is posed with unweighted operators.
-                    field_for_loss = plain_field if loss_kind == "strong" else train_field
-                    try:
-                        result = train(
-                            net,
-                            loss_kind,
-                            field_for_loss,
-                            tensor,
-                            config.train,
-                            validation_field=plain_field,
-                            history_path=out_dir / f"history_{tag}.csv",
-                            checkpoint_dir=(
-                                out_dir / f"checkpoints_{tag}"
-                                if config.train.checkpoint_interval
-                                else None
-                            ),
+                    grid, ref_eval = _reference(config, model, basis, tensor, train_field, reference)
+                    trained, surrogates = {}, {}
+                    diverged = None
+                    for method in config.methods:
+                        tag = f"{config.experiment}_{method}_N{n_vars}_P{degree}"
+                        echo(f"[{tag}] training {basis.size} branches")
+                        spec = config.branch_spec(model.spatial_dim)
+                        net = MultiBranchNet(spec, n_branches=basis.size, seed=config.seed_weights)
+                        loss_kind = "strong" if method == "galerkin" else "ritz"
+                        # The strong residual is posed with unweighted operators.
+                        field_for_loss = plain_field if loss_kind == "strong" else train_field
+                        try:
+                            result = train(
+                                net,
+                                loss_kind,
+                                field_for_loss,
+                                tensor,
+                                config.train,
+                                validation_field=plain_field,
+                                history_path=out_dir / f"history_{tag}.csv",
+                                checkpoint_dir=(
+                                    out_dir / f"checkpoints_{tag}"
+                                    if config.train.checkpoint_interval
+                                    else None
+                                ),
+                            )
+                        except TrainingDivergedError as exc:
+                            # The methods trained so far are still evaluated and recorded.
+                            diverged = exc
+                            break
+                        net.save(out_dir / f"net_{tag}.npz")
+                        trained[method] = (tag, result)
+                        # Only the trained coefficients on the metric grid outlive the network.
+                        surrogates[method] = net_evaluator(net, basis, grid, scale=config.output_scale)
+                    if trained:
+                        reports = rel_h1_error(
+                            ref_eval,
+                            surrogates,
+                            grid,
+                            model,
+                            n_mc=config.metric.n_mc,
+                            seed=config.seed_mc,
                         )
-                    except TrainingDivergedError as exc:
-                        # The methods trained so far are still evaluated and recorded.
-                        diverged = exc
-                        break
-                    net.save(out_dir / f"net_{tag}.npz")
-                    trained[method] = (tag, result)
-                    # Only the trained coefficients on the metric grid outlive the network.
-                    surrogates[method] = net_evaluator(net, basis, grid, scale=config.output_scale)
-                if trained:
-                    reports = rel_h1_error(
-                        ref_eval,
-                        surrogates,
-                        grid,
-                        model,
-                        n_mc=config.metric.n_mc,
-                        seed=config.seed_mc,
-                    )
-                    for method, (tag, result) in trained.items():
-                        report = reports[method]
-                        echo(
-                            f"[{tag}] rel_error={report.rel_error:.4%} "
-                            f"epochs={result.epochs} seconds={result.train_seconds:.1f}"
-                        )
-                        writer.writerow(
-                            [
-                                config.experiment,
-                                method,
-                                n_vars,
-                                degree,
-                                basis.size,
-                                repr(report.rel_error),
-                                repr(report.numerator),
-                                repr(report.denominator),
-                                repr(result.train_seconds),
-                                result.epochs,
-                                repr(result.final_risk),
-                                repr(result.final_validation),
-                                config.seed_weights,
-                                config.train.seed_sobol,
-                                config.seed_mc,
-                                repr(report.mc_standard_error),
-                            ]
-                        )
-                handle.flush()
-                if diverged is not None:
-                    raise diverged
-    except TrainingDivergedError as exc:
-        echo(f"training aborted: {exc}")
-        handle.close()
-        return EXIT_TRAINING
-    except OSError as exc:
-        echo(f"input/output failure: {exc}")
-        handle.close()
-        return EXIT_IO
-    handle.close()
+                        for method, (tag, result) in trained.items():
+                            report = reports[method]
+                            echo(
+                                f"[{tag}] rel_error={report.rel_error:.4%} "
+                                f"epochs={result.epochs} seconds={result.train_seconds:.1f}"
+                            )
+                            writer.writerow(
+                                [
+                                    config.experiment,
+                                    method,
+                                    n_vars,
+                                    degree,
+                                    basis.size,
+                                    repr(report.rel_error),
+                                    repr(report.numerator),
+                                    repr(report.denominator),
+                                    repr(result.train_seconds),
+                                    result.epochs,
+                                    repr(result.final_risk),
+                                    repr(result.final_validation),
+                                    config.seed_weights,
+                                    config.train.seed_sobol,
+                                    config.seed_mc,
+                                    repr(report.mc_standard_error),
+                                ]
+                            )
+                    handle.flush()
+                    if diverged is not None:
+                        raise diverged
+        except TrainingDivergedError as exc:
+            echo(f"training aborted: {exc}")
+            return EXIT_TRAINING
+        except FieldPositivityError as exc:
+            echo(f"reference failed: {exc}")
+            return EXIT_CONFIG
+        except OSError as exc:
+            echo(f"input/output failure: {exc}")
+            return EXIT_IO
     return 0
 
 

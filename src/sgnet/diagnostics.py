@@ -17,8 +17,7 @@ from .fields import (
     exp2_diffusion_coeffs,
     field_model,
     kl_eigenpair,
-    make_spectral_field,
-    sample_pathwise,
+    pathwise_sampler,
 )
 from .net import BranchSpec, MultiBranchNet
 from .reference import Mesh1D, fem_pathwise
@@ -104,7 +103,7 @@ def _check_exp2_reconstruction() -> str:
     y = rng.uniform(-1, 1, size=(50, n_vars))
     values, _ = exp2_diffusion_coeffs(n_vars, x)
     recon = np.einsum("mk,mk->m", basis_matrix(basis, y), values)
-    direct = np.array([sample_pathwise(model, y[m], x[m : m + 1])[0][0] for m in range(50)])
+    direct = np.array([pathwise_sampler(model, x[m : m + 1])(y[m])[0][0] for m in range(50)])
     deviation = np.max(np.abs(recon - direct))
     if deviation > 1e-12:
         raise AssertionError(f"reconstruction deviates by {deviation:.2e}")

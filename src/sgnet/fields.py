@@ -18,7 +18,8 @@ Three models are provided, selected by name:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -45,7 +46,6 @@ __all__ = [
     "field_model",
     "make_spectral_field",
     "pathwise_sampler",
-    "sample_pathwise",
     "draw_samples",
 ]
 
@@ -330,11 +330,6 @@ def pathwise_sampler(model: FieldModel, x: np.ndarray) -> Callable[[np.ndarray],
     return sample
 
 
-def sample_pathwise(model: FieldModel, y: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Closed-form field values (a(y, x), f(y, x)) for one sample ``y`` on points ``x``."""
-    return pathwise_sampler(model, x)(y)
-
-
 @dataclass(frozen=True)
 class SpectralField:
     """Spectral-coefficient evaluators of a field model bound to a basis.
@@ -347,7 +342,6 @@ class SpectralField:
     model: FieldModel
     basis: OrderedBasis
     weighting: str = "none"
-    _forcing_cache: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         if self.weighting not in ("none", "a_min_inv"):
@@ -358,7 +352,7 @@ class SpectralField:
             raise ValueError("the exp2 coefficient is a degree-one expansion; use P = 1")
         if self.basis.n_dims != self.model.n_vars:
             raise ValueError("basis dimension does not match the field model")
-        if self.basis.families[0] is not self.model.family:
+        if self.basis.family is not self.model.family:
             raise ValueError("basis family does not match the field model")
 
     @property
@@ -399,13 +393,11 @@ class SpectralField:
     def forcing_values(self, x: np.ndarray) -> np.ndarray:
         """Forcing coefficients, shape ``(n_points, M + 1)``."""
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        return np.broadcast_to(self._forcing_row(), (x.shape[0], self.size)).copy()
+        return np.broadcast_to(self._forcing_row, (x.shape[0], self.size)).copy()
 
+    @cached_property
     def _forcing_row(self) -> np.ndarray:
         # All three models have spatially constant forcing coefficients.
-        cached = object.__getattribute__(self, "_forcing_cache")
-        if cached is not None:
-            return cached
         if self.model.kind == "exp1":
             row = exp1_forcing_coeffs(self.basis.max_degree)
         elif self.weighting == "none":
@@ -421,7 +413,6 @@ class SpectralField:
             row = np.ones(self.size)
             for dim in range(self.model.n_vars):
                 row *= factors[dim, index_array[:, dim]]
-        object.__setattr__(self, "_forcing_cache", row)
         return row
 
     def _exp3_products(self, x: np.ndarray, tilt: float) -> np.ndarray:

@@ -35,7 +35,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 from scipy.special import expit
@@ -43,13 +42,10 @@ from scipy.special import expit
 __all__ = [
     "ACTIVATIONS",
     "BranchSpec",
-    "Enforcer",
     "EvalRecord",
     "MultiBranchNet",
-    "enforcer_for",
+    "box_enforcer",
     "tape_nbytes",
-    "unit_interval_enforcer",
-    "unit_square_enforcer",
 ]
 
 ACTIVATIONS = ("swish", "sigmoid", "linear")
@@ -90,55 +86,18 @@ class BranchSpec:
         return sum(dims[i + 1] * dims[i] + dims[i + 1] for i in range(len(dims) - 1))
 
 
-@dataclass(frozen=True)
-class Enforcer:
-    """Boundary enforcer with closed-form value, gradient and Laplacian."""
-
-    name: str
-    value: Callable[[np.ndarray], np.ndarray]
-    grad: Callable[[np.ndarray], np.ndarray]
-    lap: Callable[[np.ndarray], np.ndarray]
-
-
-def unit_interval_enforcer() -> Enforcer:
-    """e(x) = x (1 - x) on [0, 1]."""
-    return Enforcer(
-        "interval",
-        lambda x: x[:, 0] * (1.0 - x[:, 0]),
-        lambda x: (1.0 - 2.0 * x[:, 0])[:, None],
-        lambda x: np.full(x.shape[0], -2.0),
-    )
+def box_enforcer(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """e(x) = prod_d x_d (1 - x_d) on [0, 1]^d, d = 1 or 2, with its gradient and Laplacian."""
+    b = x * (1.0 - x)
+    others = b[:, ::-1] if x.shape[1] == 2 else np.ones_like(b)  # product of the other factors
+    value = b[:, 0]
+    for d in range(1, x.shape[1]):
+        value = value * x[:, d] * (1.0 - x[:, d])  # one factor at a time, the rounding checkpoints pin
+    return value, (1.0 - 2.0 * x) * others, -2.0 * others.sum(axis=1)
 
 
-def unit_square_enforcer() -> Enforcer:
-    """e(x) = x1 x2 (1 - x1)(1 - x2) on [0, 1]^2."""
-
-    def value(x: np.ndarray) -> np.ndarray:
-        return x[:, 0] * (1.0 - x[:, 0]) * x[:, 1] * (1.0 - x[:, 1])
-
-    def grad(x: np.ndarray) -> np.ndarray:
-        b1 = x[:, 0] * (1.0 - x[:, 0])
-        b2 = x[:, 1] * (1.0 - x[:, 1])
-        return np.stack([(1.0 - 2.0 * x[:, 0]) * b2, (1.0 - 2.0 * x[:, 1]) * b1], axis=1)
-
-    def lap(x: np.ndarray) -> np.ndarray:
-        b1 = x[:, 0] * (1.0 - x[:, 0])
-        b2 = x[:, 1] * (1.0 - x[:, 1])
-        return -2.0 * (b1 + b2)
-
-    return Enforcer("square", value, grad, lap)
-
-
-_ENFORCERS = {"interval": unit_interval_enforcer, "square": unit_square_enforcer}
-
-
-def enforcer_for(spatial_dim: int) -> Enforcer:
-    """Default enforcer of the unit interval or unit square."""
-    if spatial_dim == 1:
-        return unit_interval_enforcer()
-    if spatial_dim == 2:
-        return unit_square_enforcer()
-    raise ValueError("only spatial dimensions 1 and 2 are supported")
+# A checkpoint names the enforcer its input dimension implies.
+_ENFORCER_NAMES = {1: "interval", 2: "square"}
 
 
 def _activation(kind: str, z: np.ndarray, value: np.ndarray, derivs, scratch) -> None:
@@ -285,18 +244,11 @@ class MultiBranchNet:
     leading branch axis, which is block-diagonal structure evaluated batchwise.
     """
 
-    def __init__(
-        self,
-        spec: BranchSpec,
-        n_branches: int,
-        enforcer: Enforcer | None = None,
-        seed: int = 0,
-    ) -> None:
+    def __init__(self, spec: BranchSpec, n_branches: int, seed: int = 0) -> None:
         if n_branches < 1:
             raise ValueError("n_branches must be positive")
         self.spec = spec
         self.n_branches = int(n_branches)
-        self.enforcer = enforcer if enforcer is not None else enforcer_for(spec.input_dim)
         self.seed = int(seed)
         rng = np.random.default_rng(seed)
         dims = spec.layer_dims
@@ -377,9 +329,7 @@ class MultiBranchNet:
         raw_grad = np.stack([S[:, rows, 0].T for rows in J], axis=2) if order >= 1 else None
         raw_lap = sum(S[:, rows, 0].T for rows in H) if order >= 2 else None
 
-        e = self.enforcer.value(x)
-        ge = self.enforcer.grad(x)
-        le = self.enforcer.lap(x)
+        e, ge, le = box_enforcer(x)
         value = e[:, None] * raw_value
         grad = None
         laplacian = None
@@ -519,7 +469,7 @@ class MultiBranchNet:
             "hidden_widths": list(self.spec.hidden_widths),
             "activations": list(self.spec.activations),
             "n_branches": self.n_branches,
-            "enforcer": self.enforcer.name,
+            "enforcer": _ENFORCER_NAMES[self.input_dim],
             "seed": self.seed,
         }
         arrays = {}
@@ -537,12 +487,9 @@ class MultiBranchNet:
             spec = BranchSpec(
                 meta["input_dim"], tuple(meta["hidden_widths"]), tuple(meta["activations"])
             )
-            net = cls(
-                spec,
-                n_branches=meta["n_branches"],
-                enforcer=_ENFORCERS[meta["enforcer"]](),
-                seed=meta["seed"],
-            )
+            if meta["enforcer"] != _ENFORCER_NAMES[spec.input_dim]:
+                raise ValueError(f"enforcer {meta['enforcer']!r} does not match input dimension {spec.input_dim}")
+            net = cls(spec, n_branches=meta["n_branches"], seed=meta["seed"])
             for i in range(len(net.weights)):
                 np.copyto(net.weights[i], data[f"w{i}"])
                 np.copyto(net.biases[i], data[f"b{i}"])

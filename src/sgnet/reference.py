@@ -1,4 +1,4 @@
-"""Reference solvers: analytic solution, pathwise FEM, and the coupled Galerkin FEM.
+"""Reference solvers: pathwise FEM and the coupled Galerkin FEM.
 
 The pathwise solvers generate ground truth one realization at a time: linear
 elements on a uniform mesh of (0, 1), bilinear elements on a uniform grid of
@@ -23,8 +23,6 @@ __all__ = [
     "Mesh2D",
     "CoupledSolution",
     "FieldPositivityError",
-    "exp1_exact",
-    "exp1_exact_grad",
     "fem_pathwise",
     "assemble_coupled_system",
     "sga_fem_coupled",
@@ -33,18 +31,6 @@ __all__ = [
 
 class FieldPositivityError(ValueError):
     """The diffusion coefficient, or the operator assembled from it, is not positive."""
-
-
-def exp1_exact(xi: float, x) -> np.ndarray:
-    """Solution 0.5 |xi - 1| (x - x^2) of the constant-diffusion problem."""
-    x = np.asarray(x, dtype=float)
-    return 0.5 * abs(xi - 1.0) * (x - x * x)
-
-
-def exp1_exact_grad(xi: float, x) -> np.ndarray:
-    """Spatial derivative 0.5 |xi - 1| (1 - 2x)."""
-    x = np.asarray(x, dtype=float)
-    return 0.5 * abs(xi - 1.0) * (1.0 - 2.0 * x)
 
 
 @dataclass(frozen=True)
@@ -101,10 +87,6 @@ class Mesh2D:
     @property
     def h(self) -> float:
         return 1.0 / self.n
-
-    @property
-    def nodes1d(self) -> np.ndarray:
-        return np.linspace(0.0, 1.0, self.n + 1)
 
     @property
     def centers1d(self) -> np.ndarray:
@@ -226,8 +208,8 @@ def fem_pathwise(mesh: Mesh1D | Mesh2D, a_q: np.ndarray, f_q: np.ndarray) -> np.
     """
     per_element = (mesh.n_elem, 2) if isinstance(mesh, Mesh1D) else (mesh.n**2, 4)
     a_q, f_q = (np.asarray(v, dtype=float).reshape(per_element) for v in (a_q, f_q))
-    if np.any(a_q <= 0.0):
-        raise FieldPositivityError("diffusion coefficient is not positive on the mesh")
+    if not np.all((a_q > 0.0) & np.isfinite(a_q)):
+        raise FieldPositivityError("diffusion coefficient is not positive and finite on the mesh")
     if isinstance(mesh, Mesh1D):
         return _fem_1d(mesh, a_q, f_q)
     return _fem_2d(mesh, a_q, f_q)

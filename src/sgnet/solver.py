@@ -138,7 +138,7 @@ def validation_error(
     a_grads = field_.coeff_grads(x_grid)
     f_values = field_.forcing_values(x_grid)
     rng = np.random.default_rng(seed)
-    samples = draw_samples(basis.families[0], basis.n_dims, n_samples, rng)
+    samples = draw_samples(basis.family, basis.n_dims, n_samples, rng)
     total = 0.0
     for start in range(0, n_samples, chunk):
         block = samples[start : start + chunk]
@@ -165,8 +165,8 @@ def default_validation_grid(spatial_dim: int) -> np.ndarray:
 class SobolStream:
     """Continuous stream of unscrambled Sobol points in [0, 1)^d.
 
-    The stream is deterministic given the initial skip; the skip must be at
-    least one so the origin point of the sequence is never emitted.
+    The stream is deterministic given the initial skip.  A skip of 0 emits the
+    origin point of the sequence first; training streams skip at least one.
     """
 
     def __init__(self, dim: int, skip: int = 1) -> None:
@@ -178,12 +178,10 @@ class SobolStream:
         self._engine = qmc.Sobol(d=dim, scramble=False)
         if skip:
             self._engine.fast_forward(skip)
-        self.index = skip
 
     def next(self, n: int) -> np.ndarray:
         if n < 1:
             raise ValueError("batch size must be positive")
-        self.index += n
         return self._engine.random(n)
 
 
@@ -198,6 +196,11 @@ def sobol_batch(stream: SobolStream, n: int, lo: Sequence[float], hi: Sequence[f
 
 # -- optimizer ----------------------------------------------------------------------
 
+# The default ADAM moment decays and denominator guard.
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
 
 @dataclass
 class AdamState:
@@ -206,13 +209,10 @@ class AdamState:
     m: np.ndarray
     v: np.ndarray
     t: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     @classmethod
-    def zeros(cls, n_params: int, **kwargs) -> "AdamState":
-        return cls(np.zeros(n_params), np.zeros(n_params), **kwargs)
+    def zeros(cls, n_params: int) -> "AdamState":
+        return cls(np.zeros(n_params), np.zeros(n_params))
 
 
 def adam_step(theta: np.ndarray, grad: np.ndarray, state: AdamState, lr: float) -> np.ndarray:
@@ -222,13 +222,13 @@ def adam_step(theta: np.ndarray, grad: np.ndarray, state: AdamState, lr: float) 
     if not np.all(np.isfinite(grad)):
         raise TrainingDivergedError("non-finite gradient entries")
     state.t += 1
-    state.m *= state.beta1
-    state.m += (1.0 - state.beta1) * grad
-    state.v *= state.beta2
-    state.v += (1.0 - state.beta2) * grad * grad
-    m_hat = state.m / (1.0 - state.beta1**state.t)
-    v_hat = state.v / (1.0 - state.beta2**state.t)
-    return theta - lr * m_hat / (np.sqrt(v_hat) + state.eps)
+    state.m *= ADAM_BETA1
+    state.m += (1.0 - ADAM_BETA1) * grad
+    state.v *= ADAM_BETA2
+    state.v += (1.0 - ADAM_BETA2) * grad * grad
+    m_hat = state.m / (1.0 - ADAM_BETA1**state.t)
+    v_hat = state.v / (1.0 - ADAM_BETA2**state.t)
+    return theta - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 # -- training loop --------------------------------------------------------------------

@@ -188,7 +188,7 @@ def kink_split_normal_rule(
 
 @dataclass(frozen=True)
 class OrderedBasis:
-    """Truncated tensor-product basis in graded lexicographic order.
+    """Truncated tensor-product basis of one family in graded lexicographic order.
 
     ``indices[k]`` is the multi-index of the k-th basis polynomial; the basis
     holds all (N + P)! / (N! P!) multi-indices of total degree at most P.
@@ -196,12 +196,10 @@ class OrderedBasis:
 
     n_dims: int
     max_degree: int
-    families: tuple[PolyFamily, ...]
+    family: PolyFamily
     indices: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        if len(self.families) != self.n_dims:
-            raise ValueError("one family per stochastic dimension is required")
         if len(self.indices) != basis_dim(self.n_dims, self.max_degree):
             raise ValueError("index list does not match the dimension formula")
 
@@ -214,19 +212,10 @@ class OrderedBasis:
     def index_array(self) -> np.ndarray:
         return np.asarray(self.indices, dtype=np.int64)
 
-    @property
-    def family(self) -> PolyFamily:
-        """The common family of a homogeneous basis."""
-        first = self.families[0]
-        if any(f is not first for f in self.families):
-            raise ValueError("basis mixes polynomial families")
-        return first
-
 
 def total_degree_basis(n_dims: int, max_degree: int, family: PolyFamily) -> OrderedBasis:
-    """Homogeneous total-degree basis with the same family in every dimension."""
-    indices = tuple(enumerate_indices(n_dims, max_degree))
-    return OrderedBasis(n_dims, max_degree, (family,) * n_dims, indices)
+    """Total-degree basis with the same family in every dimension."""
+    return OrderedBasis(n_dims, max_degree, family, tuple(enumerate_indices(n_dims, max_degree)))
 
 
 def basis_matrix(basis: OrderedBasis, samples: np.ndarray) -> np.ndarray:
@@ -237,24 +226,19 @@ def basis_matrix(basis: OrderedBasis, samples: np.ndarray) -> np.ndarray:
     index_array = basis.index_array
     out = np.ones((samples.shape[0], basis.size))
     for dim in range(basis.n_dims):
-        table = univariate_table(basis.families[dim], basis.max_degree, samples[:, dim])
+        table = univariate_table(basis.family, basis.max_degree, samples[:, dim])
         out *= table[:, index_array[:, dim]]
     return out
 
 
 def tensor_gauss_rule(basis: OrderedBasis, nodes_per_dim: int) -> tuple[np.ndarray, np.ndarray]:
     """Tensor-product Gauss rule over Gamma; returns points ``(n, N)`` and weights."""
-    rules = [gauss_rule(f, nodes_per_dim) for f in basis.families]
-    grids = np.meshgrid(*[r.nodes for r in rules], indexing="ij")
-    points = np.stack([g.ravel() for g in grids], axis=1)
-    weights = np.ones(points.shape[0])
-    for dim, rule in enumerate(rules):
-        shape = [1] * basis.n_dims
-        shape[dim] = rule.weights.size
-        weights = weights * np.broadcast_to(
-            rule.weights.reshape(shape), [r.nodes.size for r in rules]
-        ).ravel()
-    return points, weights
+    rule = gauss_rule(basis.family, nodes_per_dim)
+    node_grids = np.meshgrid(*[rule.nodes] * basis.n_dims, indexing="ij")
+    weights = np.ones(nodes_per_dim**basis.n_dims)
+    for grid in np.meshgrid(*[rule.weights] * basis.n_dims, indexing="ij"):
+        weights = weights * grid.ravel()
+    return np.stack([g.ravel() for g in node_grids], axis=1), weights
 
 
 def physical_memory() -> int:
@@ -385,9 +369,8 @@ def galerkin_tensor(basis: OrderedBasis) -> GalerkinTensor:
     univariate factors, multiplied in dimension order.
     """
     deg = basis.index_array.astype(np.int32)
-    size, n_dims = deg.shape
-    tables = {family: _univariate_triple_table(family, basis.max_degree) for family in set(basis.families)}
-    factors = np.stack([tables[family] for family in basis.families])
+    size = len(deg)
+    table = _univariate_triple_table(basis.family, basis.max_degree)
     double_steps = 2 * deg[deg.sum(axis=1) <= basis.max_degree // 2]
     # Rows i are taken in blocks whose (i, j, t, dim) candidate array stays near 2^20 entries.
     block = max(1, 2**20 // (size * double_steps.size))
@@ -400,7 +383,7 @@ def galerkin_tensor(basis: OrderedBasis) -> GalerkinTensor:
         found.append((i + start, j, k_deg[i, j, t]))
     i, j, k_deg = (np.concatenate(column) for column in zip(*found))
     # A reduction along the last axis multiplies in order: dimension 0 first.
-    g = np.multiply.reduce(factors[np.arange(n_dims), deg[i], deg[j], k_deg], axis=1)
+    g = np.multiply.reduce(table[deg[i], deg[j], k_deg], axis=1)
     position = {nu: n for n, nu in enumerate(basis.indices)}
     k = np.array([position[nu] for nu in map(tuple, k_deg.tolist())], dtype=np.int64)
     return GalerkinTensor.from_triples(size, i, j, k, g)

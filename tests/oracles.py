@@ -45,11 +45,17 @@ def eval_tensor_poly(basis, k: int, y) -> float:
     y = np.asarray(y, dtype=float).ravel()
     if y.size != basis.n_dims:
         raise ValueError(f"point has {y.size} coordinates, basis has {basis.n_dims}")
+    poly = orthonormal_hermite if basis.family.value == "hermite" else orthonormal_legendre
     value = 1.0
-    for family, degree, coord in zip(basis.families, basis.indices[k], y):
-        poly = orthonormal_hermite if family.value == "hermite" else orthonormal_legendre
+    for degree, coord in zip(basis.indices[k], y):
         value *= float(poly(degree, coord))
     return value
+
+
+def exp1_exact(xi: float, x) -> np.ndarray:
+    """Solution 0.5 |xi - 1| (x - x^2) of -u'' = |xi - 1| on (0, 1) with zero boundary values."""
+    x = np.asarray(x, dtype=float)
+    return 0.5 * abs(xi - 1.0) * (x - x * x)
 
 
 def graded_lex_less(nu1, nu2) -> bool:

@@ -36,7 +36,7 @@ from sgnet.metrics import (
     rel_h1_error,
     uniform_grid_1d,
 )
-from sgnet.net import BranchSpec, MultiBranchNet, enforcer_for
+from sgnet.net import BranchSpec, MultiBranchNet
 from sgnet.reference import Mesh1D, Mesh2D, sga_fem_coupled
 from sgnet.solver import (
     SobolStream,

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import csv
+import gc
 import time
+import warnings
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -12,6 +14,7 @@ import pytest
 import yaml
 
 import sgnet.cli
+from sgnet import diagnostics
 from sgnet.cli import (
     EXIT_CONFIG,
     EXIT_TRAINING,
@@ -25,6 +28,7 @@ from sgnet.cli import (
 )
 from sgnet.fields import draw_samples
 from sgnet.net import BranchSpec, tape_nbytes
+from sgnet.reference import FieldPositivityError
 from sgnet.solver import TrainingDivergedError
 from sgnet.spectral import PolyFamily, basis_dim, load_tensor
 
@@ -278,6 +282,29 @@ class TestRunner:
         assert [(row["method"], row["P"]) for row in rows] == [("galerkin", "0")]
         assert float(rows[0]["rel_error"]) >= 0.0
 
+    def test_coupled_reference_failure_exits_with_one_message(self, tmp_path, monkeypatch, capsys):
+        # A coupled reference whose operator is not positive definite ends the
+        # run with exit code 2 and one line; results.csv keeps its header and
+        # is closed.
+        path = write_config(
+            tmp_path / "c.yaml", experiment="exp3", P=[3], metric={"reference": "coupled", "mesh": 8}
+        )
+
+        def not_positive_definite(*args):
+            raise FieldPositivityError("the discrete operator is not positive definite")
+
+        monkeypatch.setattr(sgnet.cli, "sga_fem_coupled", not_positive_definite)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            assert main(["run", str(path)]) == EXIT_CONFIG
+            gc.collect()
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+        assert capsys.readouterr().out.splitlines() == [
+            "reference failed: the discrete operator is not positive definite"
+        ]
+        lines = (tmp_path / "out" / "results.csv").read_text().splitlines()
+        assert [tuple(line.split(",")) for line in lines] == [RESULT_COLUMNS]
+
 
 class TestPlot:
     def make_results(self, path: Path, rows) -> Path:
@@ -391,3 +418,9 @@ class TestTensorCommand:
         out = tmp_path / "g.bin"
         assert main(["tensor", "1", "3", "legendre", "--out", str(out)]) == 0
         assert out.exists()
+
+
+def test_validate_command_passes_every_check(capsys):
+    assert main(["validate"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines] == [f"PASS {name}" for name, _ in diagnostics.CHECKS]

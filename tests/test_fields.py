@@ -18,7 +18,7 @@ from sgnet.fields import (
     kl_eigenpair,
     kl_sigma,
     make_spectral_field,
-    sample_pathwise,
+    pathwise_sampler,
 )
 from sgnet.spectral import PolyFamily, basis_matrix, gauss_rule, total_degree_basis
 
@@ -126,7 +126,7 @@ class TestExp2Coefficients:
             p = basis_matrix(basis, y)
             recon = np.einsum("mk,mk->m", p, values)
             direct = np.array(
-                [sample_pathwise(model, y[m], x[m : m + 1])[0][0] for m in range(100)]
+                [pathwise_sampler(model, x[m : m + 1])(y[m])[0][0] for m in range(100)]
             )
             np.testing.assert_allclose(recon, direct, rtol=1e-12, atol=1e-12)
 
@@ -158,7 +158,7 @@ class TestExp2Coefficients:
             # evaluate one point per sample
             diag = np.array(
                 [
-                    sample_pathwise(model, y[m], x[m : m + 1])[0][0]
+                    pathwise_sampler(model, x[m : m + 1])(y[m])[0][0]
                     for m in range(start, start + 10_000)
                 ]
             )
@@ -191,9 +191,10 @@ class TestExp2Coefficients:
 
 def sample_pathwise_batch(model, samples, x_point):
     """Pathwise field values at one spatial point for a batch of realizations."""
+    sampler = pathwise_sampler(model, x_point[None, :])
     out = np.empty(samples.shape[0])
     for m in range(samples.shape[0]):
-        out[m] = sample_pathwise(model, samples[m], x_point[None, :])[0][0]
+        out[m] = sampler(samples[m])[0][0]
     return out
 
 
@@ -256,7 +257,7 @@ class TestExp3Coefficients:
         y = rng.standard_normal((1000, 3)) * 3.0
         x = rng.uniform(0, 1, size=(50, 1))
         for m in range(0, 1000, 100):
-            a, _ = sample_pathwise(model, y[m], x)
+            a, _ = pathwise_sampler(model, x)(y[m])
             assert np.all(a > 0.0)
 
 
@@ -320,13 +321,13 @@ class TestPathwiseSampler:
     def test_exp1_trivials(self):
         model = field_model("exp1", 1)
         x = np.array([[0.3]])
-        a, f = sample_pathwise(model, np.array([1.0]), x)
+        a, f = pathwise_sampler(model, x)(np.array([1.0]))
         assert a[0] == 1.0 and f[0] == 0.0
 
     def test_exp2_random_series_vanishes_at_minus_one(self):
         model = field_model("exp2", 4)
         x = np.array([[0.2, 0.9]])
-        a, f = sample_pathwise(model, -np.ones(4), x)
+        a, f = pathwise_sampler(model, x)(-np.ones(4))
         bubble = 0.2 * 0.9 * 0.8 * 0.1
         assert a[0] == pytest.approx(3.0 - bubble, abs=1e-14)
         assert f[0] == 1.0
@@ -334,7 +335,7 @@ class TestPathwiseSampler:
     def test_exp3_zero_sample(self):
         model = field_model("exp3", 3)
         x = np.array([[0.5]])
-        a, f = sample_pathwise(model, np.zeros(3), x)
+        a, f = pathwise_sampler(model, x)(np.zeros(3))
         assert a[0] == 1.0 and f[0] == 1.0
 
     def test_measure_sampler_shapes_and_prefix(self):
@@ -368,3 +369,14 @@ class TestModelValidation:
         basis = total_degree_basis(2, 2, PolyFamily.LEGENDRE)
         with pytest.raises(ValueError):
             make_spectral_field(model, basis)
+
+    def test_equal_fields_stay_equal_after_forcing_evaluation(self):
+        # The forcing row is cached on first use; the cache is no field, so it
+        # leaves equality and hashing as they were.
+        model = field_model("exp3", 2)
+        basis = total_degree_basis(2, 2, PolyFamily.HERMITE)
+        field, other = make_spectral_field(model, basis), make_spectral_field(model, basis)
+        before = hash(field)
+        np.testing.assert_array_equal(field.forcing_values(np.array([[0.5]])), other.forcing_values(np.array([[0.2]])))
+        assert field == other
+        assert hash(field) == hash(other) == before

@@ -14,7 +14,7 @@ from sgnet.fields import (
     exp1_forcing_coeffs,
     field_model,
     make_spectral_field,
-    sample_pathwise,
+    pathwise_sampler,
 )
 from sgnet.metrics import (
     coupled_evaluator,
@@ -323,7 +323,7 @@ class TestFemEvaluator:
         samples = draw_samples(model.family, n_vars, 5, np.random.default_rng(12))
         values, grads = fem_evaluator(model, mesh, grid)(samples)
         for i, y in enumerate(samples):
-            nodal = fem_pathwise(mesh, *sample_pathwise(model, y, mesh.quad_points))
+            nodal = fem_pathwise(mesh, *pathwise_sampler(model, mesh.quad_points)(y))
             expected, expected_grad = nodal_interpolant(nodal, grid.points)
             np.testing.assert_allclose(values[i], expected, rtol=1e-13, atol=0.0)
             scale = np.max(np.abs(expected_grad))

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import json
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,14 +17,14 @@ from sgnet.net import (
     BranchSpec,
     MultiBranchNet,
     _activation,
-    enforcer_for,
+    box_enforcer,
     tape_nbytes,
-    unit_interval_enforcer,
-    unit_square_enforcer,
 )
 from sgnet.reference import Mesh1D, Mesh2D
 from sgnet.solver import TrainConfig, strong_risk, train, validation_error
 from sgnet.spectral import PolyFamily, galerkin_tensor, total_degree_basis
+
+DATA = Path(__file__).parent / "data"
 
 
 def small_net(seed=0, d=1, widths=(6, 5), acts=("swish", "sigmoid", "linear"), branches=3):
@@ -540,29 +542,60 @@ class TestPersistence:
         clone = MultiBranchNet.load(path)
         np.testing.assert_array_equal(clone.params_flat(), net.params_flat())
         assert clone.spec == net.spec
-        assert clone.enforcer.name == net.enforcer.name
         x = np.random.default_rng(0).uniform(0.1, 0.9, size=(5, 2))
         np.testing.assert_array_equal(
             clone.evaluate(x, 2).laplacian, net.evaluate(x, 2).laplacian
         )
 
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_frozen_version_1_checkpoint_evaluates_bitwise(self, d):
+        # Files saved, and evaluated at order 2, by an earlier version of this
+        # module: they still load, and every output bit is the same.
+        net = MultiBranchNet.load(DATA / f"checkpoint_v1_d{d}.npz")
+        with np.load(DATA / "checkpoint_v1_expected.npz") as expected:
+            record = net.evaluate(expected[f"x{d}"], 2)
+            for name in ("value", "grad", "laplacian"):
+                np.testing.assert_array_equal(getattr(record, name), expected[f"{name}{d}"])
+
 
 class TestEnforcers:
     def test_interval_enforcer_derivatives(self):
-        enf = unit_interval_enforcer()
         x = np.linspace(0, 1, 11)[:, None]
-        np.testing.assert_allclose(enf.value(x), x[:, 0] * (1 - x[:, 0]))
-        np.testing.assert_allclose(enf.grad(x)[:, 0], 1 - 2 * x[:, 0])
-        np.testing.assert_allclose(enf.lap(x), -2.0)
+        value, grad, lap = box_enforcer(x)
+        np.testing.assert_allclose(value, x[:, 0] * (1 - x[:, 0]))
+        np.testing.assert_allclose(grad[:, 0], 1 - 2 * x[:, 0])
+        np.testing.assert_allclose(lap, -2.0)
 
     def test_square_enforcer_positive_inside(self):
-        enf = unit_square_enforcer()
         rng = np.random.default_rng(1)
         pts = rng.uniform(0.01, 0.99, size=(200, 2))
-        assert np.all(enf.value(pts) > 0.0)
+        value, grad, lap = box_enforcer(pts)
+        assert np.all(value > 0.0)
+        # Closed forms of e = x1 x2 (1 - x1)(1 - x2), by central differences.
+        step = 1e-5
+        for d in range(2):
+            shift = np.zeros(2)
+            shift[d] = step
+            fd = (box_enforcer(pts + shift)[0] - box_enforcer(pts - shift)[0]) / (2 * step)
+            np.testing.assert_allclose(grad[:, d], fd, atol=1e-9)
+        b = pts * (1 - pts)
+        np.testing.assert_allclose(lap, -2.0 * (b[:, 0] + b[:, 1]), rtol=1e-14)
+        edges = np.array([[0.0, 0.3], [1.0, 0.6], [0.2, 0.0], [0.7, 1.0]])
+        np.testing.assert_array_equal(box_enforcer(edges)[0], 0.0)
 
-    def test_dimension_dispatch(self):
-        assert enforcer_for(1).name == "interval"
-        assert enforcer_for(2).name == "square"
-        with pytest.raises(ValueError):
-            enforcer_for(3)
+    def test_dimension_dispatch(self, tmp_path):
+        # Checkpoints name the enforcer of their input dimension; a file whose
+        # name disagrees with its dimension is refused.
+        names = []
+        for d in (1, 2):
+            net = small_net(d=d)
+            net.save(tmp_path / f"d{d}.npz")
+            with np.load(tmp_path / f"d{d}.npz") as data:
+                meta = json.loads(bytes(data["meta"]).decode())
+                arrays = {k: data[k] for k in data.files if k != "meta"}
+            names.append(meta["enforcer"])
+            meta["enforcer"] = "square" if d == 1 else "interval"
+            np.savez(tmp_path / "bad.npz", meta=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8), **arrays)
+            with pytest.raises(ValueError, match="enforcer"):
+                MultiBranchNet.load(tmp_path / "bad.npz")
+        assert names == ["interval", "square"]

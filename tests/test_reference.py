@@ -1,4 +1,4 @@
-"""Analytic solution, pathwise FEM solvers and the coupled Galerkin FEM oracle."""
+"""Analytic exp1 solution, pathwise FEM solvers and the coupled Galerkin FEM oracle."""
 
 from __future__ import annotations
 
@@ -7,22 +7,21 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse.linalg
-from oracles import AffineField, dense_from_upper_band, dense_triple_tensor
+from oracles import AffineField, dense_from_upper_band, dense_triple_tensor, exp1_exact
 
 from sgnet.fields import (
     draw_samples,
     exp1_forcing_coeffs,
     field_model,
     make_spectral_field,
-    sample_pathwise,
+    pathwise_sampler,
 )
+from sgnet.metrics import exact_exp1_evaluator, uniform_grid_1d
 from sgnet.reference import (
     FieldPositivityError,
     Mesh1D,
     Mesh2D,
     assemble_coupled_system,
-    exp1_exact,
-    exp1_exact_grad,
     fem_pathwise,
     sga_fem_coupled,
 )
@@ -30,22 +29,34 @@ from sgnet.spectral import PolyFamily, galerkin_tensor, total_degree_basis
 
 
 class TestExactSolution:
+    """``exact_exp1_evaluator``: the closed form 0.5 |xi - 1| (x - x^2) on a grid."""
+
     def test_degenerate_sample(self):
-        x = np.linspace(0, 1, 7)
-        np.testing.assert_array_equal(exp1_exact(1.0, x), 0.0)
+        value, grad = exact_exp1_evaluator(uniform_grid_1d(7))(np.array([[1.0]]))
+        np.testing.assert_array_equal(value, 0.0)
+        np.testing.assert_array_equal(grad, 0.0)
 
     def test_point_value(self):
-        assert exp1_exact(3.0, 0.5) == pytest.approx(0.25, abs=1e-15)
+        value, _ = exact_exp1_evaluator(uniform_grid_1d(3))(np.array([[3.0], [-1.0]]))
+        np.testing.assert_allclose(value[:, 1], [0.25, 0.25], atol=1e-15)
 
     def test_boundary_values(self):
-        assert exp1_exact(2.7, 0.0) == 0.0
-        assert exp1_exact(2.7, 1.0) == 0.0
+        value, _ = exact_exp1_evaluator(uniform_grid_1d(5))(np.array([[2.7]]))
+        assert value[0, 0] == 0.0
+        assert value[0, -1] == 0.0
 
     def test_gradient_consistency(self):
-        x = np.linspace(0, 1, 11)
+        grid = uniform_grid_1d(11)
+        x = grid.points[:, 0]
+        samples = np.array([[2.0], [-0.5]])
+        _, grad = exact_exp1_evaluator(grid)(samples)
         step = 1e-6
-        fd = (exp1_exact(2.0, x + step) - exp1_exact(2.0, x - step)) / (2 * step)
-        np.testing.assert_allclose(exp1_exact_grad(2.0, x), fd, atol=1e-9)
+        for m, xi in enumerate(samples[:, 0]):
+            fd = (exp1_exact(xi, x + step) - exp1_exact(xi, x - step)) / (2 * step)
+            np.testing.assert_allclose(grad[m, :, 0], fd, atol=1e-9)
+            np.testing.assert_allclose(
+                exact_exp1_evaluator(grid)(samples[m : m + 1])[0][0], exp1_exact(xi, x), rtol=1e-15
+            )
 
 
 class TestFem1D:
@@ -93,6 +104,16 @@ class TestFem1D:
             fem_pathwise(mesh, x - 0.5, np.ones_like(x))
 
 
+@pytest.mark.parametrize("mesh", [Mesh1D(4), Mesh2D(3)], ids=["1d", "2d"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_diffusion_is_rejected(mesh, bad):
+    # A NaN or infinite coefficient is refused before it reaches the solver.
+    a_q = np.ones(len(mesh.quad_points))
+    a_q[1] = bad
+    with pytest.raises(FieldPositivityError, match="finite"):
+        fem_pathwise(mesh, a_q, np.ones_like(a_q))
+
+
 class TestFem2D:
     def test_manufactured_sine_convergence(self):
         # -lap u = 2 pi^2 sin(pi x) sin(pi y): L2 error drops ~4x per refinement.
@@ -103,7 +124,8 @@ class TestFem2D:
             mesh = Mesh2D(n)
             p = mesh.quad_points
             sol = fem_pathwise(mesh, np.ones(p.shape[0]), f(p))
-            xx, yy = np.meshgrid(mesh.nodes1d, mesh.nodes1d, indexing="ij")
+            nodes = np.linspace(0.0, 1.0, n + 1)
+            xx, yy = np.meshgrid(nodes, nodes, indexing="ij")
             pts = np.stack([xx.ravel(), yy.ravel()], axis=1)
             diff = sol.ravel() - u(pts)
             errors.append(math.sqrt(float(np.mean(diff**2))))
@@ -146,7 +168,7 @@ class TestFem2D:
         rng = np.random.default_rng(0)
         y = rng.uniform(-1, 1, 2)
         mesh = Mesh2D(16)
-        sol = fem_pathwise(mesh, *sample_pathwise(model, y, mesh.quad_points))
+        sol = fem_pathwise(mesh, *pathwise_sampler(model, mesh.quad_points)(y))
         assert sol.shape == (17, 17)
         interior = sol[1:-1, 1:-1]
         assert np.all(interior > 0.0)
@@ -313,6 +335,6 @@ class TestPathwiseReference:
         mesh = Mesh1D(32)
         samples = draw_samples(model.family, model.n_vars, 5, np.random.default_rng(3))
         for y in samples:
-            nodal = fem_pathwise(mesh, *sample_pathwise(model, y, mesh.quad_points))
+            nodal = fem_pathwise(mesh, *pathwise_sampler(model, mesh.quad_points)(y))
             exact = exp1_exact(float(y[0]), mesh.nodes)
             assert np.max(np.abs(nodal - exact)) < 1e-12
