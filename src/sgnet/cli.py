@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import itertools
 import sys
 from dataclasses import dataclass, field as dc_field
 from pathlib import Path
@@ -32,12 +33,13 @@ from .metrics import (
     rel_h1_error,
     uniform_grid_1d,
 )
-from .net import BranchSpec, MultiBranchNet, tape_nbytes
+from .net import BranchSpec, MultiBranchNet, scratch_nbytes, tape_nbytes
 from .reference import FieldPositivityError, Mesh1D, Mesh2D, sga_fem_coupled
 from .solver import TrainConfig, TrainingDivergedError, train
 from .spectral import (
     PolyFamily,
     basis_dim,
+    galerkin_nbytes,
     galerkin_tensor,
     physical_memory,
     require_dense_fits,
@@ -276,28 +278,38 @@ def load_config(path: str | Path) -> ExperimentConfig:
         config = ExperimentConfig(**kwargs)
     except TypeError as exc:
         raise ConfigError(str(exc)) from exc
-    _require_tape_fits(config)
+    _require_step_fits(config)
     return config
 
 
-def _require_tape_fits(config: ExperimentConfig) -> None:
-    """Refuse a sweep whose largest training step needs a network tape beyond physical memory.
+def _require_step_fits(config: ExperimentConfig) -> None:
+    """Refuse a sweep with a training step that needs more than physical memory.
 
-    The strong step evaluates the net to order 2, the Ritz step to order 1.
+    A step holds the network tape with its per-worker scratch (order 2 for
+    the strong step, 1 for the Ritz step), the stored nonzeros of G and the
+    contraction's product buffers; G is counted only when the tape fits.
     """
     try:
         spec = config.branch_spec(field_model(config.experiment, 1).spatial_dim)
     except ValueError as exc:
         raise ConfigError(f"invalid net section: {exc}") from exc
-    size = max(basis_dim(n, p) for n in config.n_values for p in config.p_values)
-    order = 2 if "galerkin" in config.methods else 1
-    needed, physical = tape_nbytes(spec, size, config.train.batch_size, order), physical_memory()
-    if needed > physical:
-        raise ConfigError(
-            f"the network tape of one training step at batch {config.train.batch_size} "
-            f"with {size} branches needs {needed / 1e9:.3g} GB, "
-            f"more than the {physical / 1e9:.3g} GB of physical memory"
-        )
+    batch, order = config.train.batch_size, 2 if "galerkin" in config.methods else 1
+    physical = physical_memory()
+    for n_dims, degree in itertools.product(config.n_values, config.p_values):
+        size = basis_dim(n_dims, degree)
+        needed = tape_nbytes(spec, size, batch, order)
+        scratch = scratch_nbytes(spec, size, batch, order)
+        terms = [f"a network tape of {needed / 1e9:.3g} GB ({scratch / 1e9:.3g} GB of it per-worker scratch)"]
+        if needed <= physical:
+            stored, products = galerkin_nbytes(n_dims, degree, batch)
+            needed += stored + products
+            terms += [f"{stored / 1e9:.3g} GB of stored nonzeros of G", f"{products / 1e9:.3g} GB of contraction products"]
+        if needed > physical:
+            raise ConfigError(
+                f"one training step at batch {batch} with N={n_dims}, P={degree} ({size} branches) "
+                f"needs {needed / 1e9:.3g} GB, more than the {physical / 1e9:.3g} GB of physical memory: "
+                + ", ".join(terms)
+            )
 
 
 def _reference(

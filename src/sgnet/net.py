@@ -28,6 +28,12 @@ is as many branches as fit ``_BLOCK_BYTES`` of tape, and at least one; it is
 a contiguous slice of every tape array, and only the scratch arrays are
 sized by the block instead of the net.  :meth:`MultiBranchNet.evaluate_grid`
 evaluates large point sets in chunks on one chunk-sized tape.
+
+The blocks of a pass are shared out over the workers of :mod:`sgnet.workers`
+(one per CPU), each with its own scratch arrays in the tape.  Branches share
+no parameters, so no two blocks write the same output, and a block does the
+same arithmetic on any worker: results do not depend on the worker count.
+The enforcer's product rule before and after the blocks runs in the caller.
 """
 
 from __future__ import annotations
@@ -39,12 +45,15 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit
 
+from . import workers
+
 __all__ = [
     "ACTIVATIONS",
     "BranchSpec",
     "EvalRecord",
     "MultiBranchNet",
     "box_enforcer",
+    "scratch_nbytes",
     "tape_nbytes",
 ]
 
@@ -138,7 +147,10 @@ def _derivative_rows(n: int, d: int, order: int) -> tuple[list[slice], list[slic
 # Tape bytes of one block of branches.  On a 2 MB-L2 Xeon with one BLAS thread,
 # 8 MB (blocks of 2-3 branches) took a 210-branch 5x45 step at 256 points a
 # third less time than one whole-net block; 4 and 12 MB were close, 16 MB and
-# more slower, and 9- or 11-branch nets ran at parity (BENCH_9.json).
+# more slower, and 9- or 11-branch nets ran at parity (BENCH_9.json).  With
+# two workers, 8, 12 and 16 MB ran within 5% of each other at all three bench
+# shapes, none ahead at all of them; 2 MB was 8% slower at 210 branches, and
+# 32 MB 1.3-1.9x slower at 9 and 11 branches (BENCH_12.json).
 _BLOCK_BYTES = 8 << 20
 
 # Points per chunk of :meth:`MultiBranchNet.evaluate_grid`: 256 and 512 were
@@ -147,29 +159,37 @@ _GRID_CHUNK = 256
 
 
 def _branch_words(spec: BranchSpec, n_points: int, order: int) -> tuple[int, int]:
-    """Tape words of one branch's layers, and of its share of the scratch arrays."""
+    """Tape words of one branch's layers, and of its share of one worker's scratch arrays."""
     rows = n_points * (1 + spec.input_dim * order)
     hidden = [w for w, kind in zip(spec.layer_dims[1:], spec.activations) if kind != "linear"]
     layers = rows * sum(spec.layer_dims) + (rows + order * n_points) * sum(hidden)
     return layers, 3 * n_points * max(hidden, default=0)
 
 
-def _block_branches(spec: BranchSpec, n_points: int, order: int) -> int:
-    """Branches per block: as many as fit ``_BLOCK_BYTES`` of tape, and at least one."""
-    return max(1, _BLOCK_BYTES // (8 * sum(_branch_words(spec, n_points, order))))
+def _layout(spec: BranchSpec, n_branches: int, n_points: int, order: int) -> tuple[int, int]:
+    """Branches per block (as many as fit ``_BLOCK_BYTES`` of tape, and at least one) and workers of a pass.
+
+    A pass has one worker per CPU, and at most one per block.
+    """
+    block = min(n_branches, max(1, _BLOCK_BYTES // (8 * sum(_branch_words(spec, n_points, order)))))
+    return block, min(workers.count(), -(-n_branches // block))
+
+
+def scratch_nbytes(spec: BranchSpec, n_branches: int, n_points: int, order: int) -> int:
+    """Bytes of the tape's scratch arrays: three per worker, spanning the widest hidden layer of a block."""
+    block, n_workers = _layout(spec, n_branches, n_points, order)
+    return 8 * n_workers * block * _branch_words(spec, n_points, order)[1]
 
 
 def tape_nbytes(spec: BranchSpec, n_branches: int, n_points: int, order: int) -> int:
     """Bytes of the reusable tape of one evaluation of ``n_points`` points at ``order``.
 
     Every layer keeps its input and pre-activation over all derivative rows,
-    every hidden layer ``order`` stored activation derivatives over the value
-    rows, and three scratch arrays span the widest hidden layer of one block
-    of branches.
+    and every hidden layer ``order`` stored activation derivatives over the
+    value rows; the rest is the workers' scratch (:func:`scratch_nbytes`).
     """
-    layers, scratch = _branch_words(spec, n_points, order)
-    block = min(n_branches, _block_branches(spec, n_points, order))
-    return 8 * (n_branches * layers + block * scratch)
+    layers = _branch_words(spec, n_points, order)[0]
+    return 8 * n_branches * layers + scratch_nbytes(spec, n_branches, n_points, order)
 
 
 class _Tape:
@@ -177,20 +197,21 @@ class _Tape:
 
     ``S[i]`` is the input of layer i and ``S[-1]`` the output; a linear layer's
     output is its pre-activation ``Z[i]``.  ``D[i]`` holds the activation
-    derivatives 1..order+1 (the last one in the value rows of ``Z[i]``) and
-    ``scratch[i]`` three arrays of the value rows' shape for one block of
-    branches; ``blocks`` slices the leading branch axis of every other array
-    into blocks.  The reverse pass overwrites ``Z[i]`` with its cotangent and
+    derivatives 1..order+1 (the last one in the value rows of ``Z[i]``).
+    ``blocks`` slices the leading branch axis of these arrays into blocks,
+    and worker w runs the blocks ``blocks[w::workers]`` with its own scratch:
+    ``scratch[w][i]`` holds three arrays of the value rows' shape for one
+    block.  The reverse pass overwrites ``Z[i]`` with its cotangent and
     ``S[i]`` with that of layer i's input.  Every array is a view of ``buf``,
     which is allocated here unless a buffer at least ``tape_nbytes`` long is
     given.
     """
 
-    __slots__ = ("key", "buf", "blocks", "S", "Z", "D", "scratch")
+    __slots__ = ("key", "buf", "blocks", "workers", "S", "Z", "D", "scratch")
 
     def __init__(self, spec: BranchSpec, K: int, n: int, order: int, buf: np.ndarray | None = None) -> None:
-        self.key = (n, order)
-        B = min(K, _block_branches(spec, n, order))
+        B, self.workers = _layout(spec, K, n, order)
+        self.key = (n, order, self.workers)
         self.blocks = [slice(k0, k0 + B) for k0 in range(0, K, B)]
         d, rows = spec.input_dim, n * (1 + spec.input_dim * order)
         words = tape_nbytes(spec, K, n, order) // 8
@@ -206,14 +227,15 @@ class _Tape:
         self.S[0][:, n:] = 0.0  # constant derivative rows of the input block
         for j, block in enumerate(_derivative_rows(n, d, order)[0]):
             self.S[0][:, block, j] = 1.0
-        flat = [take(B * _branch_words(spec, n, order)[1] // 3) for _ in range(3)]
-        self.Z, self.D, self.scratch = [], [], []
+        flat = [[take(B * _branch_words(spec, n, order)[1] // 3) for _ in range(3)] for _ in range(self.workers)]
+        self.Z, self.D, self.scratch = [], [], [[] for _ in flat]
         for w, kind in zip(spec.layer_dims[1:], spec.activations):
             self.Z.append(take(K, rows, w))
             linear = kind == "linear"
             self.S.append(self.Z[-1] if linear else take(K, rows, w))
             self.D.append([] if linear else [take(K, n, w) for _ in range(order)] + [self.Z[-1][:, :n]])
-            self.scratch.append([] if linear else [a[: B * n * w].reshape(B, n, w) for a in flat])
+            for own, arrays in zip(self.scratch, flat):
+                own.append([] if linear else [a[: B * n * w].reshape(B, n, w) for a in arrays])
         assert offset == words <= buf.size
 
 
@@ -297,7 +319,7 @@ class MultiBranchNet:
         if d != self.input_dim:
             raise ValueError(f"points have dimension {d}, network expects {self.input_dim}")
         tape, self._spare = self._spare, None
-        if tape is None or tape.key != (n, order):
+        if tape is None or tape.key != (n, order, _layout(self.spec, self.n_branches, n, order)[1]):
             # Another shape is laid out in the spare's buffer when it fits; a
             # spare too small is freed before the new buffer is allocated.
             words = tape_nbytes(self.spec, self.n_branches, n, order) // 8
@@ -307,22 +329,25 @@ class MultiBranchNet:
         tape.S[0][:, :n, :] = x
         J, H = _derivative_rows(n, d, order)
 
-        for k in tape.blocks:
-            for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-                Z = np.matmul(tape.S[i][k], w[k].transpose(0, 2, 1), out=tape.Z[i][k])
-                Z[:, :n] += b[k, None, :]
-                kind = self.spec.activations[i]
-                if kind == "linear":
-                    continue
-                S, derivs = tape.S[i + 1][k], [a[k] for a in tape.D[i]]
-                scratch = [a[: len(Z)] for a in tape.scratch[i]]
-                _activation(kind, Z[:, :n], S[:, :n], derivs, scratch)
-                for rows in J:
-                    np.multiply(derivs[0], Z[:, rows], out=S[:, rows])
-                for j, rows in enumerate(H):
-                    target = np.multiply(Z[:, J[j]], Z[:, J[j]], out=S[:, rows])
-                    target *= derivs[1]
-                    target += np.multiply(derivs[0], Z[:, rows], out=scratch[0])
+        def forward(worker: int) -> None:
+            for k in tape.blocks[worker :: tape.workers]:
+                for i, (w, b) in enumerate(zip(self.weights, self.biases)):
+                    Z = np.matmul(tape.S[i][k], w[k].transpose(0, 2, 1), out=tape.Z[i][k])
+                    Z[:, :n] += b[k, None, :]
+                    kind = self.spec.activations[i]
+                    if kind == "linear":
+                        continue
+                    S, derivs = tape.S[i + 1][k], [a[k] for a in tape.D[i]]
+                    scratch = [a[: len(Z)] for a in tape.scratch[worker][i]]
+                    _activation(kind, Z[:, :n], S[:, :n], derivs, scratch)
+                    for rows in J:
+                        np.multiply(derivs[0], Z[:, rows], out=S[:, rows])
+                    for j, rows in enumerate(H):
+                        target = np.multiply(Z[:, J[j]], Z[:, J[j]], out=S[:, rows])
+                        target *= derivs[1]
+                        target += np.multiply(derivs[0], Z[:, rows], out=scratch[0])
+
+        workers.run(forward, tape.workers)
 
         S = tape.S[-1]
         raw_value = S[:, :n, 0].T.copy()
@@ -430,32 +455,35 @@ class MultiBranchNet:
         ends = np.cumsum([a.size for pair in zip(self.weights, self.biases) for a in pair])
         grad_w = [grads[end - w.size : end].reshape(w.shape) for w, end in zip(self.weights, ends[::2])]
         grad_b = [grads[end - b.size : end].reshape(b.shape) for b, end in zip(self.biases, ends[1::2])]
-        for k in tape.blocks:
-            for i in reversed(range(len(self.weights))):
-                S_prev, Zb, derivs = tape.S[i][k], tape.Z[i][k], [a[k] for a in tape.D[i]]
-                if derivs:
-                    # Zb overwrites Z block by block, once every term that reads the block is taken.
-                    Sb, d1 = tape.S[i + 1][k], derivs[0]
-                    zb, u, v = [a[: len(Zb)] for a in tape.scratch[i]]
-                    np.multiply(Sb[:, :n], d1, out=zb)
-                    for j, rows in enumerate(J):
-                        jz, jb = Zb[:, rows], Sb[:, rows]
-                        zb += np.multiply(np.multiply(jb, derivs[1], out=u), jz, out=u)  # jb d2 jz
-                        if order >= 2:
-                            hz, hb = Zb[:, H[j]], Sb[:, H[j]]
-                            np.multiply(np.multiply(derivs[2], jz, out=u), jz, out=u)
-                            u += np.multiply(derivs[1], hz, out=v)
-                            zb += np.multiply(hb, u, out=u)  # hb (d3 jz jz + d2 hz)
-                            np.multiply(np.multiply(np.multiply(2.0, hb, out=u), derivs[1], out=u), jz, out=u)
-                            np.multiply(hb, d1, out=hz)
-                        np.multiply(jb, d1, out=jz)
-                        if order >= 2:
-                            jz += u  # jb d1 + 2 hb d2 jz
-                    np.copyto(Zb[:, :n], zb)
-                np.matmul(Zb.transpose(0, 2, 1), S_prev, out=grad_w[i][k])
-                np.sum(Zb[:, :n], axis=1, out=grad_b[i][k])
-                if i > 0:
-                    np.matmul(Zb, self.weights[i][k], out=S_prev)
+        def backward(worker: int) -> None:
+            for k in tape.blocks[worker :: tape.workers]:
+                for i in reversed(range(len(self.weights))):
+                    S_prev, Zb, derivs = tape.S[i][k], tape.Z[i][k], [a[k] for a in tape.D[i]]
+                    if derivs:
+                        # Zb overwrites Z block by block, once every term that reads the block is taken.
+                        Sb, d1 = tape.S[i + 1][k], derivs[0]
+                        zb, u, v = [a[: len(Zb)] for a in tape.scratch[worker][i]]
+                        np.multiply(Sb[:, :n], d1, out=zb)
+                        for j, rows in enumerate(J):
+                            jz, jb = Zb[:, rows], Sb[:, rows]
+                            zb += np.multiply(np.multiply(jb, derivs[1], out=u), jz, out=u)  # jb d2 jz
+                            if order >= 2:
+                                hz, hb = Zb[:, H[j]], Sb[:, H[j]]
+                                np.multiply(np.multiply(derivs[2], jz, out=u), jz, out=u)
+                                u += np.multiply(derivs[1], hz, out=v)
+                                zb += np.multiply(hb, u, out=u)  # hb (d3 jz jz + d2 hz)
+                                np.multiply(np.multiply(np.multiply(2.0, hb, out=u), derivs[1], out=u), jz, out=u)
+                                np.multiply(hb, d1, out=hz)
+                            np.multiply(jb, d1, out=jz)
+                            if order >= 2:
+                                jz += u  # jb d1 + 2 hb d2 jz
+                        np.copyto(Zb[:, :n], zb)
+                    np.matmul(Zb.transpose(0, 2, 1), S_prev, out=grad_w[i][k])
+                    np.sum(Zb[:, :n], axis=1, out=grad_b[i][k])
+                    if i > 0:
+                        np.matmul(Zb, self.weights[i][k], out=S_prev)
+
+        workers.run(backward, tape.workers)
         self._spare = tape
         return grads
 

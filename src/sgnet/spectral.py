@@ -9,6 +9,7 @@ multi-indices of bounded total degree in graded lexicographic order.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 import struct
@@ -20,6 +21,8 @@ from typing import Iterable, Sequence
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 from scipy.sparse import csr_array
+
+from . import workers
 
 __all__ = [
     "PolyFamily",
@@ -35,6 +38,7 @@ __all__ = [
     "tensor_gauss_rule",
     "kink_split_normal_rule",
     "galerkin_tensor",
+    "galerkin_nbytes",
     "require_dense_fits",
     "save_tensor",
     "load_tensor",
@@ -241,6 +245,58 @@ def tensor_gauss_rule(basis: OrderedBasis, nodes_per_dim: int) -> tuple[np.ndarr
     return np.stack([g.ravel() for g in node_grids], axis=1), weights
 
 
+# Bytes of one product buffer of :meth:`GalerkinTensor.contract`.  On a 2 MB-L2
+# Xeon with two workers, 256 points at N=6, P=4 (20,650 pairs) took 9.8 ms with
+# 8 MB (ranges of 50 points), 10.0 and 10.6 ms with 4 and 16 MB, 13.7 ms with
+# 1 MB, and 25-29 ms with 32 and 64 MB, one range per worker (BENCH_12.json).
+_RANGE_BYTES = 8 << 20
+
+
+def _range_points(pairs: int, n_points: int) -> int:
+    """Points per range of a contraction: as many as fit ``_RANGE_BYTES`` of products, and at least one."""
+    return max(1, min(n_points, _RANGE_BYTES // (8 * pairs)))
+
+
+def _tensor_counts(n_dims: int, max_degree: int) -> tuple[int, int]:
+    """Stored pairs and nonzeros of :func:`galerkin_tensor` of a total-degree basis, in closed form.
+
+    An admissible univariate degree triple (a, b, c) is (y + z, x + z, x + y)
+    for exactly one x, y, z >= 0.  So the nonzeros are the triples of
+    N-vectors (x, y, z) with |y| + |z|, |x| + |z| and |x| + |y| at most P,
+    where c[m] = C(m + N - 1, N - 1) vectors have |.| = m.  A stored pair
+    (i, j) is such a triple with k = |i - j| entrywise, that is with x and y
+    of disjoint supports; inclusion-exclusion over the t entries where both
+    are positive counts those.
+    """
+    P, N = max_degree, n_dims
+    c = [math.comb(m + N - 1, N - 1) for m in range(P + 1)]
+    S = list(itertools.accumulate(c))  # S[r]: vectors with |.| <= r
+
+    def triples(Q: int, R: int) -> int:
+        # Sum of c[x] c[y] S[R - max(x, y)] over x + y <= Q, grouped by m = max(x, y).
+        return sum(
+            S[R - m] * c[m] * (2 * (S[min(m - 1, Q - m)] if m > 0 else 0) + (c[m] if 2 * m <= Q else 0))
+            for m in range(Q + 1)
+        )
+
+    pairs = sum((-1) ** t * math.comb(N, t) * triples(P - 2 * t, P - t) for t in range(min(N, P // 2) + 1))
+    return pairs, triples(P, P)
+
+
+def galerkin_nbytes(n_dims: int, max_degree: int, n_points: int) -> tuple[int, int]:
+    """Bytes of the stored tensor of a total-degree basis, and of the product buffers of one contraction.
+
+    The tensor stores three index words per pair (``pair_i``, ``pair_j``,
+    ``indptr``) and two per nonzero (``k``, ``g``); a contraction of
+    ``n_points`` points gives each of its workers two buffers of one range's
+    products.  Both are counted without building the tensor.
+    """
+    pairs, nnz = _tensor_counts(n_dims, max_degree)
+    width = _range_points(pairs, n_points)
+    n_workers = min(workers.count(), -(-n_points // width))
+    return 8 * (3 * pairs + 1 + 2 * nnz), 8 * n_workers * 2 * pairs * width
+
+
 def physical_memory() -> int:
     """Bytes of physical memory of the host."""
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
@@ -299,11 +355,30 @@ class GalerkinTensor:
     def contract(self, coeff: np.ndarray, u: np.ndarray) -> np.ndarray:
         """``out[n, k] = sum_ij G_ijk coeff[n, i] u[n, j]`` for arrays of shape (n, dim).
 
-        The products coeff_i u_j are formed once per stored pair and summed
-        into every k by one sparse matrix product.
+        The points are taken in ranges of ``_RANGE_BYTES`` of products, and the
+        ranges are spread over the workers (:mod:`sgnet.workers`).  In each
+        range the products coeff_i u_j are formed once per stored pair, in
+        buffers of its worker, and summed into every k by one sparse matrix
+        product, which sums each point's column on its own; so every entry is
+        computed as in one pass over all points.
         """
-        products = np.ascontiguousarray(coeff.T)[self.pair_i] * np.ascontiguousarray(u.T)[self.pair_j]
-        return (self._by_pair.T @ products).T
+        n, pairs = coeff.shape[0], self.pair_i.size
+        width = _range_points(pairs, n)
+        ranges = [slice(start, min(start + width, n)) for start in range(0, n, width)]
+        n_workers = max(1, min(workers.count(), len(ranges)))
+        coeff_t, u_t, by_pair_t = np.ascontiguousarray(coeff.T), np.ascontiguousarray(u.T), self._by_pair.T
+        out = np.empty((self.dim, n))
+
+        def products(worker: int) -> None:
+            buffers = np.empty((2, pairs * width))
+            for points in ranges[worker::n_workers]:
+                a, b = (buf[: pairs * (points.stop - points.start)].reshape(pairs, -1) for buf in buffers)
+                np.take(coeff_t[:, points], self.pair_i, axis=0, out=a, mode="clip")
+                np.multiply(a, np.take(u_t[:, points], self.pair_j, axis=0, out=b, mode="clip"), out=a)
+                out[:, points] = by_pair_t @ a
+
+        workers.run(products, n_workers)
+        return out.T
 
     def coupling_matrices(self, coeff: np.ndarray) -> np.ndarray:
         """``out[n, j, k] = sum_i coeff[n, i] G_ijk``, shape (n, dim, dim), from the nonzeros.

@@ -27,10 +27,10 @@ from sgnet.cli import (
     tensor_dump,
 )
 from sgnet.fields import draw_samples
-from sgnet.net import BranchSpec, tape_nbytes
+from sgnet.net import BranchSpec, scratch_nbytes, tape_nbytes
 from sgnet.reference import FieldPositivityError
 from sgnet.solver import TrainingDivergedError
-from sgnet.spectral import PolyFamily, basis_dim, load_tensor
+from sgnet.spectral import PolyFamily, basis_dim, galerkin_nbytes, load_tensor
 
 
 def write_config(path: Path, **overrides) -> Path:
@@ -228,6 +228,27 @@ class TestRunner:
         assert "config error:" in err and f"{needed / 1e9:.3g} GB" in err
         assert not (tmp_path / "out" / "results.csv").exists()
         assert elapsed < 1.0
+
+    def test_tensor_and_contraction_memory_count_against_the_sweep(self, tmp_path, capsys, monkeypatch):
+        # exp3 at N=6, P=4: one strong step holds the tape, G's 30,562 stored
+        # nonzeros and the contraction's product buffers.  With one byte less
+        # than their sum the sweep is refused, and the message names each term.
+        train = {"batch_size": 256, "steps_per_epoch": 1, "max_epochs": 1}
+        path = write_config(tmp_path / "c.yaml", experiment="exp3", N=6, P=4, net={}, train=train)
+        spec = BranchSpec(1, (45,) * 5, ("swish",) * 5 + ("linear",))
+        tape, scratch = tape_nbytes(spec, 210, 256, order=2), scratch_nbytes(spec, 210, 256, order=2)
+        stored, products = galerkin_nbytes(6, 4, 256)
+        needed = tape + stored + products
+        monkeypatch.setattr(sgnet.cli, "physical_memory", lambda: needed - 1)
+        assert main(["run", str(path)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        for term in (needed, tape, scratch, stored, products):
+            assert f"{term / 1e9:.3g} GB" in err
+        for name in ("network tape", "per-worker scratch", "stored nonzeros of G", "contraction products"):
+            assert name in err
+        assert not (tmp_path / "out" / "results.csv").exists()
+        monkeypatch.setattr(sgnet.cli, "physical_memory", lambda: needed)
+        assert load_config(path).p_values == (4,)
 
     def test_each_sample_reaches_the_reference_once(self, tmp_path, monkeypatch):
         # Both methods of an (N, P) entry are measured in one Monte Carlo pass:

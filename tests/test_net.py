@@ -11,6 +11,7 @@ import pytest
 from scipy.special import expit
 
 from sgnet import net as net_module
+from sgnet import workers
 from sgnet.fields import field_model, make_spectral_field
 from sgnet.metrics import midpoint_grid, net_evaluator
 from sgnet.net import (
@@ -466,7 +467,7 @@ class TestTapeAcrossShapes:
 
 
 class TestBranchBlocks:
-    """Running the layer stack block of branches by block changes no result."""
+    """Running the layer stack block of branches by block, on one or two workers, changes no result."""
 
     @pytest.mark.parametrize("d", [1, 2])
     @pytest.mark.parametrize("order", [0, 1, 2])
@@ -477,17 +478,21 @@ class TestBranchBlocks:
         # One-branch blocks, blocks of two (5 = 2 + 2 + 1) and one whole-net block.
         budgets = {1: 1, 2: tape_nbytes(spec, 2, n, order), K: 1 << 40}
         results = {}
-        for block, budget in budgets.items():
-            monkeypatch.setattr(net_module, "_BLOCK_BYTES", budget)
-            for with_lap in (True, False) if order == 2 else (True,):
-                net = small_net(seed=4, d=d, branches=K)
-                record = net.evaluate(x, order)
-                tape = record._tape
-                assert tape.scratch[0][0].shape[0] == block
-                assert tape.S[0].base.nbytes == tape_nbytes(spec, K, n, order)
-                results[block, with_lap] = record, net.param_grad(record, **cotangents(record, 3, with_lap))
-        for (block, with_lap), (record, grad) in results.items():
-            whole, whole_grad = results[K, with_lap]
+        for n_workers in (1, 2):
+            monkeypatch.setattr(workers, "count", lambda: n_workers)
+            for block, budget in budgets.items():
+                monkeypatch.setattr(net_module, "_BLOCK_BYTES", budget)
+                for with_lap in (True, False) if order == 2 else (True,):
+                    net = small_net(seed=4, d=d, branches=K)
+                    record = net.evaluate(x, order)
+                    tape = record._tape
+                    assert len(tape.scratch) == min(n_workers, -(-K // block))
+                    assert tape.scratch[-1][0][0].shape[0] == block
+                    assert tape.S[0].base.nbytes == tape_nbytes(spec, K, n, order)
+                    grad = net.param_grad(record, **cotangents(record, 3, with_lap))
+                    results[n_workers, block, with_lap] = record, grad
+        for (n_workers, block, with_lap), (record, grad) in results.items():
+            whole, whole_grad = results[1, K, with_lap]
             for name in ("value", "grad", "laplacian"):
                 np.testing.assert_array_equal(getattr(record, name), getattr(whole, name))
             np.testing.assert_array_equal(grad, whole_grad)

@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sgnet import spectral, workers
 from sgnet.spectral import (
     GalerkinTensor,
     PolyFamily,
@@ -17,6 +19,7 @@ from sgnet.spectral import (
     basis_dim,
     basis_matrix,
     enumerate_indices,
+    galerkin_nbytes,
     galerkin_tensor,
     gauss_rule,
     kink_split_normal_rule,
@@ -314,6 +317,12 @@ class TestGalerkinTensor:
         stored_bytes = sum(v.nbytes for v in (tensor.pair_i, tensor.pair_j, tensor.indptr, tensor.k, tensor.g))
         assert stored_bytes < 32e6
 
+    @pytest.mark.parametrize("n_dims,max_degree", [(1, 0), (1, 10), (2, 6), (3, 7), (5, 2), (6, 4), (8, 1)])
+    def test_stored_bytes_are_counted_without_building(self, n_dims, max_degree):
+        tensor = galerkin_tensor(total_degree_basis(n_dims, max_degree, PolyFamily.HERMITE))
+        stored = sum(v.nbytes for v in (tensor.pair_i, tensor.pair_j, tensor.indptr, tensor.k, tensor.g))
+        assert galerkin_nbytes(n_dims, max_degree, 64)[0] == stored
+
     def test_dense_view_is_refused_beyond_physical_memory(self):
         tensor = GalerkinTensor.from_triples(2**20, [0], [0], [0], [1.0])
         assert tensor.contract(np.ones((1, 2**20)), np.ones((1, 2**20)))[0, 0] == 1.0
@@ -334,6 +343,42 @@ class TestGalerkinTensor:
         path.write_bytes(b"NOPE" + bytes(16))
         with pytest.raises(ValueError):
             load_tensor(path)
+
+
+class TestContraction:
+    """The contraction by point ranges, on one or two workers: the one-pass sum, bit for bit."""
+
+    @pytest.mark.parametrize("n_workers", [1, 2])
+    @pytest.mark.parametrize("range_points", [1, 5, 37])
+    def test_ranges_are_invisible(self, monkeypatch, n_workers, range_points):
+        tensor = galerkin_tensor(total_degree_basis(3, 3, PolyFamily.HERMITE))
+        rng = np.random.default_rng(range_points)
+        coeff, u = rng.normal(size=(2, 37, tensor.dim))
+        products = np.ascontiguousarray(coeff.T)[tensor.pair_i] * np.ascontiguousarray(u.T)[tensor.pair_j]
+        one_pass = (tensor._by_pair.T @ products).T
+        monkeypatch.setattr(workers, "count", lambda: n_workers)
+        monkeypatch.setattr(spectral, "_RANGE_BYTES", 8 * tensor.pair_i.size * range_points)
+        np.testing.assert_array_equal(tensor.contract(coeff, u), one_pass)
+        dense = np.einsum("ijk,ni,nj->nk", tensor.values, coeff, u)
+        np.testing.assert_allclose(tensor.contract(coeff, u), dense, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("n_workers", [1, 2])
+    def test_product_buffers_are_counted(self, monkeypatch, n_workers):
+        # N=6, P=4 at 256 points: 20,650 pairs, in ranges of 50 points.
+        monkeypatch.setattr(workers, "count", lambda: n_workers)
+        tensor = galerkin_tensor(total_degree_basis(6, 4, PolyFamily.HERMITE))
+        coeff, u = np.random.default_rng(0).normal(size=(2, 256, tensor.dim))
+        products = galerkin_nbytes(6, 4, 256)[1]
+        width = spectral._range_points(tensor.pair_i.size, 256)
+        assert products == 8 * 2 * n_workers * tensor.pair_i.size * width
+        tracemalloc.start()
+        try:
+            out = tensor.contract(coeff, u)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # Beside the buffers: the two transposed inputs, the output and one range's sparse product per worker.
+        assert products < peak <= products + 3 * out.nbytes + n_workers * 8 * tensor.dim * width + 65536
 
 
 class TestProjection:
