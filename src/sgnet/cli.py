@@ -115,17 +115,17 @@ class ExperimentConfig:
     method: str = "both"
     n_values: tuple[int, ...] = (1,)
     p_values: tuple[int, ...] = (1,)
-    net_widths: tuple[int, ...] | None = None
-    net_activations: tuple[str, ...] | None = None
+    # Hidden widths and activations (output layer included); None takes the experiment's preset.
+    net: tuple[tuple[int, ...], tuple[str, ...]] | None = None
     train: TrainConfig = dc_field(default_factory=TrainConfig)
     metric: MetricConfig = dc_field(default_factory=MetricConfig)
     weighting: str = "none"
-    output_scale: float = 1.0
     seed_weights: int = 1
     seed_mc: int = 1
     out_dir: Path = Path("results")
 
     def __post_init__(self) -> None:
+        self.out_dir = Path(self.out_dir)
         if self.experiment not in ("exp1", "exp2", "exp3"):
             raise ConfigError(f"unknown experiment {self.experiment!r}")
         if self.method not in ("galerkin", "ritz", "both"):
@@ -144,8 +144,6 @@ class ExperimentConfig:
             raise ConfigError("the weighted expansion is only available for exp3")
         if self.weighting != "none" and self.method != "ritz":
             raise ConfigError("the weighted expansion trains the ritz loss only")
-        if self.output_scale <= 0:
-            raise ConfigError("output_scale must be positive")
         if self.metric.reference == "analytic" and self.experiment != "exp1":
             raise ConfigError("the analytic reference exists only for exp1")
         if self.metric.reference == "coupled" and self.experiment == "exp2":
@@ -156,18 +154,7 @@ class ExperimentConfig:
         return ("galerkin", "ritz") if self.method == "both" else (self.method,)
 
     def branch_spec(self, spatial_dim: int) -> BranchSpec:
-        if self.net_widths is not None:
-            widths = self.net_widths
-            if self.net_activations is not None:
-                activations = self.net_activations
-            else:
-                preset_acts = _NET_PRESETS[self.experiment][1]
-                activations = tuple(
-                    preset_acts[min(i, len(preset_acts) - 2)] for i in range(len(widths))
-                ) + ("linear",)
-        else:
-            widths, activations = _NET_PRESETS[self.experiment]
-        return BranchSpec(spatial_dim, tuple(widths), tuple(activations))
+        return BranchSpec(spatial_dim, *(self.net or _NET_PRESETS[self.experiment]))
 
 
 def _as_int_tuple(value, name: str) -> tuple[int, ...]:
@@ -176,6 +163,25 @@ def _as_int_tuple(value, name: str) -> tuple[int, ...]:
     if isinstance(value, (list, tuple)) and value and all(_is_int(v) for v in value):
         return tuple(value)
     raise ConfigError(f"{name} must be an integer or list of integers")
+
+
+def _section(value, name: str, keys) -> dict:
+    """A config mapping that may hold only ``keys``; an absent section is empty."""
+    if value is None:
+        return {}
+    if not isinstance(value, dict):
+        raise ConfigError(f"{name} must be a mapping")
+    unknown = set(value) - set(keys)
+    if unknown:
+        raise ConfigError(f"unknown {name} keys: {sorted(unknown, key=str)}")
+    return value
+
+
+_TOP_KEYS = ("experiment", "method", "N", "P", "net", "train", "metric", "weighting", "seeds", "out_dir")
+_SEED_KEYS = ("weights", "sobol", "mc", "validation")
+# The Sobol and validation seeds are set under ``seeds`` only.
+_TRAIN_KEYS = tuple(f.name for f in dataclasses.fields(TrainConfig) if not f.name.startswith("seed_"))
+_METRIC_KEYS = tuple(f.name for f in dataclasses.fields(MetricConfig))
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
@@ -190,109 +196,49 @@ def load_config(path: str | Path) -> ExperimentConfig:
         mark = getattr(exc, "problem_mark", None)
         where = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""
         raise ConfigError(f"invalid YAML{where}: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ConfigError("config must be a mapping")
-
-    known = {
-        "experiment",
-        "method",
-        "N",
-        "P",
-        "net",
-        "train",
-        "metric",
-        "weighting",
-        "output_scale",
-        "seeds",
-        "out_dir",
-    }
-    unknown = set(raw) - known
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    raw = _section(raw, "config", _TOP_KEYS)
     if "experiment" not in raw:
         raise ConfigError("missing required key 'experiment'")
-
-    kwargs: dict = {"experiment": raw["experiment"]}
-    if "method" in raw:
-        kwargs["method"] = raw["method"]
-    kwargs["n_values"] = _as_int_tuple(raw.get("N", 1), "N")
-    kwargs["p_values"] = _as_int_tuple(raw.get("P", 1), "P")
-
-    net_section = raw.get("net", {}) or {}
-    if not isinstance(net_section, dict):
-        raise ConfigError("net section must be a mapping")
-    if "widths" in net_section:
-        kwargs["net_widths"] = _as_int_tuple(net_section["widths"], "net.widths")
-    if "activations" in net_section:
-        acts = net_section["activations"]
+    net = _section(raw.get("net"), "net", ("widths", "activations"))
+    layers = None
+    if len(net) == 1:
+        raise ConfigError("net takes widths and activations together or not at all")
+    if net:
+        acts = net["activations"]
         if not isinstance(acts, list) or not all(isinstance(a, str) for a in acts):
             raise ConfigError("net.activations must be a list of names")
-        kwargs["net_activations"] = tuple(acts) + (
-            () if acts and acts[-1] == "linear" else ("linear",)
-        )
-
-    train_section = raw.get("train", {}) or {}
-    if not isinstance(train_section, dict):
-        raise ConfigError("train section must be a mapping")
-    train_fields = {f.name for f in dataclasses.fields(TrainConfig)}
-    unknown = set(train_section) - train_fields
-    if unknown:
-        raise ConfigError(f"unknown train keys: {sorted(unknown)}")
-    try:
-        kwargs["train"] = TrainConfig(**train_section)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid train section: {exc}") from exc
-
-    metric_section = raw.get("metric", {}) or {}
-    if not isinstance(metric_section, dict):
-        raise ConfigError("metric section must be a mapping")
-    metric_fields = {f.name for f in dataclasses.fields(MetricConfig)}
-    unknown = set(metric_section) - metric_fields
-    if unknown:
-        raise ConfigError(f"unknown metric keys: {sorted(unknown)}")
-    kwargs["metric"] = MetricConfig(**metric_section)
-
-    seeds = raw.get("seeds", {}) or {}
-    if not isinstance(seeds, dict):
-        raise ConfigError("seeds section must be a mapping")
-    unknown = set(seeds) - {"weights", "sobol", "mc", "validation"}
-    if unknown:
-        raise ConfigError(f"unknown seed keys: {sorted(unknown)}")
+        output = () if acts[-1:] == ["linear"] else ("linear",)  # the output layer is linear
+        layers = (_as_int_tuple(net["widths"], "net.widths"), tuple(acts) + output)
+    seeds = _section(raw.get("seeds"), "seeds", _SEED_KEYS)
     for key, value in seeds.items():
         if not _is_int(value) or value < 0:
             raise ConfigError(f"seeds.{key} must be a non-negative integer")
-    if seeds.get("sobol") == 0:
-        raise ConfigError("seeds.sobol must be a positive integer")
-    kwargs["seed_weights"] = seeds.get("weights", 1)
-    kwargs["seed_mc"] = seeds.get("mc", 1)
-    kwargs["train"] = dataclasses.replace(
-        kwargs["train"], **{f"seed_{key}": seeds[key] for key in ("sobol", "validation") if key in seeds}
-    )
-
-    for key in ("weighting", "output_scale"):
-        if key in raw:
-            kwargs[key] = raw[key]
-    if "out_dir" in raw:
-        kwargs["out_dir"] = Path(raw["out_dir"])
+    seeds = {f"seed_{key}": value for key, value in seeds.items()}
+    train_seeds = {key: seeds.pop(key) for key in ("seed_sobol", "seed_validation") if key in seeds}
     try:
-        config = ExperimentConfig(**kwargs)
-    except TypeError as exc:
+        config = ExperimentConfig(
+            n_values=_as_int_tuple(raw.get("N", 1), "N"),
+            p_values=_as_int_tuple(raw.get("P", 1), "P"),
+            net=layers,
+            train=TrainConfig(**_section(raw.get("train"), "train", _TRAIN_KEYS), **train_seeds),
+            metric=MetricConfig(**_section(raw.get("metric"), "metric", _METRIC_KEYS)),
+            **seeds,
+            **{key: raw[key] for key in ("experiment", "method", "weighting", "out_dir") if key in raw},
+        )
+        spec = config.branch_spec(field_model(config.experiment, 1).spatial_dim)
+    except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
-    _require_step_fits(config)
+    _require_step_fits(config, spec)
     return config
 
 
-def _require_step_fits(config: ExperimentConfig) -> None:
+def _require_step_fits(config: ExperimentConfig, spec: BranchSpec) -> None:
     """Refuse a sweep with a training step that needs more than physical memory.
 
     A step holds the network tape with its per-worker scratch (order 2 for
     the strong step, 1 for the Ritz step), the stored nonzeros of G and the
     contraction's product buffers; G is counted only when the tape fits.
     """
-    try:
-        spec = config.branch_spec(field_model(config.experiment, 1).spatial_dim)
-    except ValueError as exc:
-        raise ConfigError(f"invalid net section: {exc}") from exc
     batch, order = config.train.batch_size, 2 if "galerkin" in config.methods else 1
     physical = physical_memory()
     for n_dims, degree in itertools.product(config.n_values, config.p_values):
@@ -331,7 +277,7 @@ def _reference(
 
 def run(config: ExperimentConfig, echo=print) -> int:
     """Execute the sweep; append one results row per (N, P, method) entry."""
-    out_dir = Path(config.out_dir)
+    out_dir = config.out_dir
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
         results_path = out_dir / "results.csv"
@@ -364,14 +310,11 @@ def run(config: ExperimentConfig, echo=print) -> int:
                         echo(f"[{tag}] training {basis.size} branches")
                         spec = config.branch_spec(model.spatial_dim)
                         net = MultiBranchNet(spec, n_branches=basis.size, seed=config.seed_weights)
-                        loss_kind = "strong" if method == "galerkin" else "ritz"
-                        # The strong residual is posed with unweighted operators.
-                        field_for_loss = plain_field if loss_kind == "strong" else train_field
                         try:
                             result = train(
                                 net,
-                                loss_kind,
-                                field_for_loss,
+                                "strong" if method == "galerkin" else "ritz",
+                                train_field,
                                 tensor,
                                 config.train,
                                 validation_field=plain_field,
@@ -389,7 +332,7 @@ def run(config: ExperimentConfig, echo=print) -> int:
                         net.save(out_dir / f"net_{tag}.npz")
                         trained[method] = (tag, result)
                         # Only the trained coefficients on the metric grid outlive the network.
-                        surrogates[method] = net_evaluator(net, basis, grid, scale=config.output_scale)
+                        surrogates[method] = net_evaluator(net, basis, grid)
                     if trained:
                         reports = rel_h1_error(
                             ref_eval,
@@ -440,9 +383,16 @@ def run(config: ExperimentConfig, echo=print) -> int:
     return 0
 
 
+# Plot kind -> (results column, y label, title, log y axis).
+_PLOTS = {
+    "error_vs_dim": ("rel_error", "relative H1 error", "Approximation error vs system dimension", True),
+    "time_vs_dim": ("train_seconds", "training time [s]", "Training time vs system dimension", False),
+}
+
+
 def plot(results_csv: str | Path, kind: str, out_path: str | Path, echo=print) -> int:
     """Render a results table as an SVG convergence or timing figure."""
-    if kind not in ("error_vs_dim", "time_vs_dim"):
+    if kind not in _PLOTS:
         echo(f"unknown plot kind {kind!r}")
         return EXIT_CONFIG
     try:
@@ -454,7 +404,7 @@ def plot(results_csv: str | Path, kind: str, out_path: str | Path, echo=print) -
     if not rows:
         echo("results file has no data rows")
         return EXIT_CONFIG
-    y_column = "rel_error" if kind == "error_vs_dim" else "train_seconds"
+    y_column, y_label, title, y_log = _PLOTS[kind]
     required = {"method", "M_plus_1", y_column}
     if not required.issubset(rows[0]):
         echo(f"results file is missing columns: {sorted(required - set(rows[0]))}")
@@ -469,22 +419,7 @@ def plot(results_csv: str | Path, kind: str, out_path: str | Path, echo=print) -
         (method, [p[0] for p in sorted(points)], [p[1] for p in sorted(points)])
         for method, points in sorted(series.items())
     ]
-    if kind == "error_vs_dim":
-        svg = line_plot(
-            plotted,
-            "system dimension M + 1",
-            "relative H1 error",
-            "Approximation error vs system dimension",
-            y_log=True,
-        )
-    else:
-        svg = line_plot(
-            plotted,
-            "system dimension M + 1",
-            "training time [s]",
-            "Training time vs system dimension",
-            y_log=False,
-        )
+    svg = line_plot(plotted, "system dimension M + 1", y_label, title, y_log=y_log)
     try:
         Path(out_path).write_text(svg)
     except OSError as exc:
@@ -532,7 +467,7 @@ def main(argv: Sequence[str] | None = None) -> int:
 
     plot_parser = sub.add_parser("plot", help="render a results.csv as SVG")
     plot_parser.add_argument("results", help="results.csv produced by 'run'")
-    plot_parser.add_argument("--kind", default="error_vs_dim", help="error_vs_dim or time_vs_dim")
+    plot_parser.add_argument("--kind", default="error_vs_dim", help=" or ".join(_PLOTS))
     plot_parser.add_argument("--out", required=True, help="output SVG path")
 
     tensor_parser = sub.add_parser("tensor", help="precompute a triple-product tensor")

@@ -171,16 +171,14 @@ def _spectral_reconstruction(
     return evaluate
 
 
-def net_evaluator(
-    net: MultiBranchNet, basis: OrderedBasis, grid: SpatialGrid, scale: float = 1.0
-) -> PathwiseEvaluator:
+def net_evaluator(net: MultiBranchNet, basis: OrderedBasis, grid: SpatialGrid) -> PathwiseEvaluator:
     """Reconstruction sum_k U_k(x) p_k(y) of a trained network on the grid.
 
     Only the coefficients on the grid outlive the call: the net's tape is freed.
     """
     values, grads, _ = net.evaluate_grid(grid.points, order=1)
     net.release_tape()
-    return _spectral_reconstruction(basis, scale * values, scale * grads)
+    return _spectral_reconstruction(basis, values, grads)
 
 
 def coupled_evaluator(

@@ -318,6 +318,8 @@ class MultiBranchNet:
         n, d = x.shape
         if d != self.input_dim:
             raise ValueError(f"points have dimension {d}, network expects {self.input_dim}")
+        if n == 0:
+            raise ValueError("no points to evaluate")
         tape, self._spare = self._spare, None
         if tape is None or tape.key != (n, order, _layout(self.spec, self.n_branches, n, order)[1]):
             # Another shape is laid out in the spare's buffer when it fits; a
@@ -381,7 +383,8 @@ class MultiBranchNet:
         x = np.atleast_2d(np.asarray(x, dtype=float))
         had_spare = self._spare is not None
         chunks = []
-        for start in range(0, len(x), _GRID_CHUNK):
+        # An empty ``x`` still makes one call, so evaluate refuses it.
+        for start in range(0, max(len(x), 1), _GRID_CHUNK):
             first = min(start, max(len(x) - _GRID_CHUNK, 0))
             record = self.evaluate(x[first : first + _GRID_CHUNK], order)
             self._spare, record._tape = record._tape, None

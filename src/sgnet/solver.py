@@ -234,6 +234,13 @@ def adam_step(theta: np.ndarray, grad: np.ndarray, state: AdamState, lr: float) 
 # -- training loop --------------------------------------------------------------------
 
 
+# Least value of each count of TrainConfig; checkpoint_interval may also be None (no checkpoints).
+_COUNTS = {
+    "batch_size": 1, "steps_per_epoch": 1, "max_epochs": 1, "lr_decay_steps": 1, "patience": 0,
+    "validation_interval": 1, "validation_samples": 1, "checkpoint_interval": 1,
+}
+
+
 @dataclass
 class TrainConfig:
     """Schedule, learning-rate decay, stopping rules and seeds for one training run."""
@@ -253,12 +260,16 @@ class TrainConfig:
     checkpoint_interval: int | None = None
 
     def __post_init__(self) -> None:
-        if min(self.batch_size, self.steps_per_epoch, self.max_epochs, self.lr_decay_steps) < 1:
-            raise ValueError("schedule parameters must be positive")
+        for name, least in _COUNTS.items():
+            value = getattr(self, name)
+            if value is None and name == "checkpoint_interval":
+                continue
+            if isinstance(value, bool) or not isinstance(value, int) or value < least:
+                raise ValueError(f"{name} must be an integer of at least {least}")
+        if not (self.risk_threshold is None or isinstance(self.risk_threshold, (int, float))):
+            raise ValueError("risk_threshold must be a number or None")
         if self.lr0 <= 0 or not 0.0 < self.lr_decay <= 1.0:
             raise ValueError("learning rate must be positive with decay factor in (0, 1]")
-        if self.patience < 0 or self.validation_interval < 1:
-            raise ValueError("patience must be non-negative, validation interval positive")
         if self.seed_sobol < 1:  # the skip of a stream that never emits its origin point
             raise ValueError("seed_sobol must be positive")
 

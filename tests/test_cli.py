@@ -100,6 +100,45 @@ class TestConfigParsing:
         path.write_text("experiment: exp1\ntrain: {validation_points: 0}\n")
         with pytest.raises(ConfigError, match="validation_points"):
             load_config(path)
+        # The network's output is reported as trained; there is no output scale.
+        path.write_text("experiment: exp1\noutput_scale: 2.0\n")
+        with pytest.raises(ConfigError, match="output_scale"):
+            load_config(path)
+        # Seeds are set under seeds only.
+        path.write_text("experiment: exp1\ntrain: {seed_sobol: 2}\n")
+        with pytest.raises(ConfigError, match="seed_sobol"):
+            load_config(path)
+        path.write_text("experiment: exp1\nnet: {width: [8]}\n")
+        with pytest.raises(ConfigError, match="width"):
+            load_config(path)
+
+    def test_net_takes_widths_and_activations_together(self, tmp_path):
+        path = tmp_path / "c.yaml"
+        path.write_text("experiment: exp1\nnet: {activations: [swish]}\n")
+        with pytest.raises(ConfigError, match="together"):
+            load_config(path)
+        path.write_text("experiment: exp1\nnet: {widths: [8]}\n")
+        with pytest.raises(ConfigError, match="together"):
+            load_config(path)
+        path.write_text("experiment: exp1\nnet: {widths: [8], activations: [sigmoid]}\n")
+        assert load_config(path).branch_spec(1) == BranchSpec(1, (8,), ("sigmoid", "linear"))
+        path.write_text("experiment: exp1\n")
+        assert load_config(path).branch_spec(1) == BranchSpec(
+            1, (45,) * 4, ("swish", "sigmoid", "sigmoid", "sigmoid", "linear")
+        )
+
+    def test_readme_schema_loads(self, tmp_path):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        schema = readme.split("### Configuration schema", 1)[1].split("```yaml\n", 1)[1].split("```", 1)[0]
+        path = tmp_path / "c.yaml"
+        path.write_text(schema)
+        config = load_config(path)
+        assert set(yaml.safe_load(schema)) == {
+            "experiment", "method", "N", "P", "net", "train", "metric", "weighting", "seeds", "out_dir"
+        }
+        assert config.p_values == (0, 2, 4)
+        assert config.branch_spec(1).hidden_widths == (30, 30, 30)
+        assert (config.train.seed_sobol, config.train.seed_validation) == (1, 1)
 
     def test_exp2_requires_degree_one(self, tmp_path):
         path = tmp_path / "c.yaml"
@@ -195,16 +234,32 @@ class TestRunner:
             {"seeds": {"mc": 1.5}},
             {"seeds": {"sobol": -1}},
             {"seeds": {"sobol": 0}},
+            {"train": {"batch_size": 2.5}},
+            {"train": {"steps_per_epoch": 1.5}},
+            {"train": {"validation_samples": True}},
+            {"train": {"validation_samples": 0}},
+            {"train": {"checkpoint_interval": 0}},
+            {"train": {"risk_threshold": "abc"}},
+            {"train": {"seed_sobol": 3}},
+            {"net": {"width": [8]}},
+            {"net": {"activations": ["swish"]}},
+            {"out_dir": 5},
+            {"output_scale": 2.0},
         ],
         ids=[
             "n_mc-text", "n_mc-zero", "n_mc-float", "mesh-1", "grid-1",
             "seed-text", "seed-float", "seed-negative", "sobol-zero",
+            "batch-float", "steps-float", "count-bool", "validation-zero", "checkpoint-zero",
+            "threshold-text", "train-seed", "net-unknown", "net-activations-alone", "out_dir-int",
+            "output_scale",
         ],
     )
     def test_bad_metric_or_seed_fails_before_any_output(self, tmp_path, capsys, overrides):
         path = write_config(tmp_path / "c.yaml", P=[0], **overrides)
         assert main(["run", str(path)]) == EXIT_CONFIG
-        assert "config error:" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1 and captured.err.startswith("config error:")
         assert not (tmp_path / "out" / "results.csv").exists()
 
     def test_bad_net_section_fails_before_any_output(self, tmp_path, capsys):

@@ -380,3 +380,24 @@ class TestModelValidation:
         np.testing.assert_array_equal(field.forcing_values(np.array([[0.5]])), other.forcing_values(np.array([[0.2]])))
         assert field == other
         assert hash(field) == hash(other) == before
+
+
+class TestSpectralFieldGradients:
+    @pytest.mark.parametrize("kind, n_vars, degree", [("exp2", 4, 1), ("exp3", 3, 3)])
+    def test_coeff_grads_match_finite_differences(self, kind, n_vars, degree):
+        # The strong loss trains on these gradients; each is checked against
+        # central differences of the coefficients themselves.
+        model = field_model(kind, n_vars)
+        field = make_spectral_field(model, total_degree_basis(n_vars, degree, model.family))
+        x = np.random.default_rng(4).uniform(0.05, 0.95, size=(20, model.spatial_dim))
+        step = 1e-5
+        fd = np.stack(
+            [
+                (field.coeff_values(x + step * e) - field.coeff_values(x - step * e)) / (2 * step)
+                for e in np.eye(model.spatial_dim)
+            ],
+            axis=-1,
+        )
+        grads = field.coeff_grads(x)
+        assert grads.shape == fd.shape == (20, field.size, model.spatial_dim)
+        assert np.abs(grads - fd).max() < 1e-8

@@ -293,18 +293,6 @@ class TestEvaluators:
         )["coupled"]
         assert report.rel_error < 2e-3
 
-    def test_output_scale_is_applied(self):
-        basis = total_degree_basis(1, 3, PolyFamily.HERMITE)
-        grid = uniform_grid_1d(33)
-        net = truncated_exact_net(3)
-        plain = net_evaluator(net, basis, grid)
-        doubled = net_evaluator(net, basis, grid, scale=2.0)
-        samples = np.random.default_rng(0).standard_normal((4, 1))
-        u1, du1 = plain(samples)
-        u2, du2 = doubled(samples)
-        np.testing.assert_allclose(u2, 2 * u1, rtol=1e-15)
-        np.testing.assert_allclose(du2, 2 * du1, rtol=1e-15)
-
 
 class TestFemEvaluator:
     """The pathwise reference sets up each mesh once and solves each realization alone."""

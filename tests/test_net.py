@@ -523,6 +523,13 @@ class TestEvaluateGrid:
         monkeypatch.setattr(net_module, "_GRID_CHUNK", 100)
         assert validation_error(net, field, basis, n_samples=50, seed=1) == expected
 
+    def test_no_points_are_refused(self):
+        net = small_net(seed=2)
+        with pytest.raises(ValueError, match="no points"):
+            net.evaluate(np.empty((0, 1)))
+        with pytest.raises(ValueError, match="no points"):
+            net.evaluate_grid(np.empty((0, 1)))
+
     def test_metric_grid_needs_no_full_grid_tape(self):
         spec = BranchSpec(2, (35,) * 5, ("swish",) * 5 + ("linear",))
         net = MultiBranchNet(spec, n_branches=9, seed=1)
