@@ -144,10 +144,19 @@ class ExperimentConfig:
             raise ConfigError("the weighted expansion is only available for exp3")
         if self.weighting != "none" and self.method != "ritz":
             raise ConfigError("the weighted expansion trains the ritz loss only")
-        if self.metric.reference == "analytic" and self.experiment != "exp1":
+        if self.reference == "analytic" and self.experiment != "exp1":
             raise ConfigError("the analytic reference exists only for exp1")
-        if self.metric.reference == "coupled" and self.experiment == "exp2":
+        if self.reference == "coupled" and self.experiment == "exp2":
             raise ConfigError("the coupled reference is only assembled on 1-D meshes; exp2 is 2-D")
+        # Each reference reads one of the two grid settings; the other would be ignored.
+        if self.reference == "analytic" and self.metric.mesh is not None:
+            raise ConfigError("metric.mesh is for the fem and coupled references; analytic takes metric.grid_points")
+        if self.reference != "analytic" and self.metric.grid_points is not None:
+            raise ConfigError(f"metric.grid_points is for the analytic reference; {self.reference} takes metric.mesh")
+
+    @property
+    def reference(self) -> str:
+        return self.metric.reference or _DEFAULT_REFERENCE[self.experiment]
 
     @property
     def methods(self) -> tuple[str, ...]:
@@ -207,8 +216,10 @@ def load_config(path: str | Path) -> ExperimentConfig:
         acts = net["activations"]
         if not isinstance(acts, list) or not all(isinstance(a, str) for a in acts):
             raise ConfigError("net.activations must be a list of names")
-        output = () if acts[-1:] == ["linear"] else ("linear",)  # the output layer is linear
-        layers = (_as_int_tuple(net["widths"], "net.widths"), tuple(acts) + output)
+        widths = _as_int_tuple(net["widths"], "net.widths")
+        if len(acts) != len(widths):
+            raise ConfigError("net.activations must name one activation per hidden width")
+        layers = (widths, tuple(acts) + ("linear",))  # the output layer is linear
     seeds = _section(raw.get("seeds"), "seeds", _SEED_KEYS)
     for key, value in seeds.items():
         if not _is_int(value) or value < 0:
@@ -259,9 +270,10 @@ def _require_step_fits(config: ExperimentConfig, spec: BranchSpec) -> None:
 
 
 def _reference(
-    config: ExperimentConfig, model: FieldModel, basis, tensor, train_field, reference: str
+    config: ExperimentConfig, model: FieldModel, basis, tensor, train_field
 ) -> tuple[SpatialGrid, PathwiseEvaluator]:
     """Metric grid and reference evaluator; FEM references are compared at mesh midpoints."""
+    reference = config.reference
     if reference == "analytic":
         grid = uniform_grid_1d(config.metric.grid_points or 257)
         return grid, exact_exp1_evaluator(grid)
@@ -291,7 +303,6 @@ def run(config: ExperimentConfig, echo=print) -> int:
         if fresh:
             writer.writerow(RESULT_COLUMNS)
 
-        reference = config.metric.reference or _DEFAULT_REFERENCE[config.experiment]
         try:
             for n_vars in config.n_values:
                 for degree in config.p_values:
@@ -302,7 +313,7 @@ def run(config: ExperimentConfig, echo=print) -> int:
                     plain_field = (
                         train_field if config.weighting == "none" else make_spectral_field(model, basis)
                     )
-                    grid, ref_eval = _reference(config, model, basis, tensor, train_field, reference)
+                    grid, ref_eval = _reference(config, model, basis, tensor, train_field)
                     trained, surrogates = {}, {}
                     diverged = None
                     for method in config.methods:

@@ -90,7 +90,11 @@ class ErrorReport:
 
 def _h1_terms(value: np.ndarray, grad: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Squared H1 norm of each realization, by the trapezoid rule on the grid."""
-    return (value * value + np.einsum("mld,mld->ml", grad, grad)) @ w
+    total = value * value
+    for d in range(grad.shape[2]):
+        g = grad[:, :, d]
+        total += g * g
+    return total @ w
 
 
 def _report(
@@ -162,11 +166,17 @@ def exact_exp1_evaluator(grid: SpatialGrid) -> PathwiseEvaluator:
 def _spectral_reconstruction(
     basis: OrderedBasis, values: np.ndarray, grads: np.ndarray
 ) -> PathwiseEvaluator:
-    """Evaluator of sum_k U_k(x) p_k(y) from branch values (L, K) and gradients (L, K, d)."""
+    """Evaluator of sum_k U_k(x) p_k(y) from branch values (L, K) and gradients (L, K, d).
+
+    The gradient coefficients are laid out once as one contiguous (K, L)
+    matrix per direction, so each call makes one BLAS product per direction;
+    the gradients are returned as an (m, L, d) view of the (d, m, L) products.
+    """
+    by_direction = np.ascontiguousarray(grads.transpose(2, 1, 0))
 
     def evaluate(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         p = basis_matrix(basis, samples)
-        return p @ values.T, np.einsum("mk,lkd->mld", p, grads)
+        return p @ values.T, np.matmul(p, by_direction).transpose(1, 2, 0)
 
     return evaluate
 

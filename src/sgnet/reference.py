@@ -144,17 +144,18 @@ def _read_only(array: np.ndarray) -> np.ndarray:
     return array
 
 
-def _solve_spd_banded(band: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+def _solve_spd_banded(band: np.ndarray, rhs: np.ndarray, check_finite: bool = True) -> np.ndarray:
     """Cholesky solve of a symmetric positive definite system in upper band storage.
 
     ``band[bw + i - j, j] = A[i, j]`` for ``i <= j``, with ``bw + 1`` rows (the
     LAPACK layout); the band is overwritten.  A matrix that is not positive
-    definite raises ``FieldPositivityError``.
+    definite raises ``FieldPositivityError``.  ``check_finite=False`` skips
+    scipy's scan of band and load, for callers that checked their inputs.
     """
     # An n x n matrix has no offsets of n or more; dropping those rows also
     # keeps a single unknown off scipy's two-row path, which rejects it.
     try:
-        return solveh_banded(band[-band.shape[1] :], rhs, overwrite_ab=True)
+        return solveh_banded(band[-band.shape[1] :], rhs, overwrite_ab=True, check_finite=check_finite)
     except LinAlgError as exc:
         message = f"the discrete operator is not positive definite: {exc}"
         raise FieldPositivityError(message) from exc
@@ -173,7 +174,7 @@ def _fem_1d(mesh: Mesh1D, a_q: np.ndarray, f_q: np.ndarray) -> np.ndarray:
     band[0, 1:] = -stiff[1:-1]
     band[1] = stiff[:-1] + stiff[1:]
     solution = np.zeros(mesh.n_elem + 1)
-    solution[1:-1] = _solve_spd_banded(band, load_right[:-1] + load_left[1:])
+    solution[1:-1] = _solve_spd_banded(band, load_right[:-1] + load_left[1:], check_finite=False)
     return solution
 
 
@@ -193,7 +194,7 @@ def _fem_2d(mesh: Mesh2D, a_q: np.ndarray, f_q: np.ndarray) -> np.ndarray:
 
     solution = np.zeros((stride, stride))
     solution[1:-1, 1:-1] = _solve_spd_banded(
-        band.reshape(n + 1, n_dof), rhs.reshape(stride, stride)[1:-1, 1:-1].ravel()
+        band.reshape(n + 1, n_dof), rhs.reshape(stride, stride)[1:-1, 1:-1].ravel(), check_finite=False
     ).reshape(n - 1, n - 1)
     return solution
 
@@ -204,12 +205,15 @@ def fem_pathwise(mesh: Mesh1D | Mesh2D, a_q: np.ndarray, f_q: np.ndarray) -> np.
     ``a_q`` and ``f_q`` hold one realization's diffusion and forcing at the
     points ``mesh.quad_points``, one value per point, as
     :func:`~sgnet.fields.pathwise_sampler` forms them.  Everything that depends
-    on the mesh alone is set up on the mesh's first solve and reused.
+    on the mesh alone is set up on the mesh's first solve and reused.  Both
+    inputs are checked here, so the banded solve skips scipy's finiteness scan.
     """
     per_element = (mesh.n_elem, 2) if isinstance(mesh, Mesh1D) else (mesh.n**2, 4)
     a_q, f_q = (np.asarray(v, dtype=float).reshape(per_element) for v in (a_q, f_q))
     if not np.all((a_q > 0.0) & np.isfinite(a_q)):
         raise FieldPositivityError("diffusion coefficient is not positive and finite on the mesh")
+    if not np.all(np.isfinite(f_q)):
+        raise ValueError("forcing is not finite on the mesh")
     if isinstance(mesh, Mesh1D):
         return _fem_1d(mesh, a_q, f_q)
     return _fem_2d(mesh, a_q, f_q)

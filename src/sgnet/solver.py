@@ -200,6 +200,8 @@ def sobol_batch(stream: SobolStream, n: int, lo: Sequence[float], hi: Sequence[f
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+# Parameters updated per range: the moments, gradient and scratch of one range stay in cache.
+_ADAM_CHUNK = 32_768
 
 
 @dataclass
@@ -222,13 +224,25 @@ def adam_step(theta: np.ndarray, grad: np.ndarray, state: AdamState, lr: float) 
     if not np.all(np.isfinite(grad)):
         raise TrainingDivergedError("non-finite gradient entries")
     state.t += 1
-    state.m *= ADAM_BETA1
-    state.m += (1.0 - ADAM_BETA1) * grad
-    state.v *= ADAM_BETA2
-    state.v += (1.0 - ADAM_BETA2) * grad * grad
-    m_hat = state.m / (1.0 - ADAM_BETA1**state.t)
-    v_hat = state.v / (1.0 - ADAM_BETA2**state.t)
-    return theta - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+    m_scale, v_scale = 1.0 - ADAM_BETA1**state.t, 1.0 - ADAM_BETA2**state.t
+    new = np.empty_like(theta)
+    # Cache-sized ranges with two scratch arrays; each expression keeps the
+    # operand order of m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g g and
+    # theta - lr m_hat / (sqrt(v_hat) + eps), so the update is bitwise the same.
+    scratch = np.empty((2, min(theta.size, _ADAM_CHUNK)))
+    for start in range(0, theta.size, _ADAM_CHUNK):
+        rows = slice(start, start + _ADAM_CHUNK)
+        m, v, g = state.m[rows], state.v[rows], grad[rows]
+        step, root = scratch[:, : g.size]
+        m *= ADAM_BETA1
+        m += np.multiply(1.0 - ADAM_BETA1, g, out=step)
+        v *= ADAM_BETA2
+        v += np.multiply(np.multiply(1.0 - ADAM_BETA2, g, out=step), g, out=step)
+        np.sqrt(np.divide(v, v_scale, out=root), out=root)
+        root += ADAM_EPS
+        np.multiply(lr, np.divide(m, m_scale, out=step), out=step)
+        np.subtract(theta[rows], np.divide(step, root, out=step), out=new[rows])
+    return new
 
 
 # -- training loop --------------------------------------------------------------------

@@ -52,6 +52,21 @@ def eval_tensor_poly(basis, k: int, y) -> float:
     return value
 
 
+def spectral_sum(basis, samples: np.ndarray, values: np.ndarray, grads: np.ndarray):
+    """sum_k p_k(y) U_k(x) and its gradient, accumulated one basis term at a time.
+
+    ``values`` is (L, K) and ``grads`` (L, K, d); each p_k(y) comes from
+    :func:`eval_tensor_poly`.  Returns arrays of shapes (m, L) and (m, L, d).
+    """
+    m, (n_points, size, dim) = samples.shape[0], grads.shape
+    value, grad = np.zeros((m, n_points)), np.zeros((m, n_points, dim))
+    for k in range(size):
+        p_k = np.array([eval_tensor_poly(basis, k, y) for y in samples])
+        value += p_k[:, None] * values[None, :, k]
+        grad += p_k[:, None, None] * grads[None, :, k, :]
+    return value, grad
+
+
 def exp1_exact(xi: float, x) -> np.ndarray:
     """Solution 0.5 |xi - 1| (x - x^2) of -u'' = |xi - 1| on (0, 1) with zero boundary values."""
     x = np.asarray(x, dtype=float)

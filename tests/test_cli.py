@@ -127,6 +127,19 @@ class TestConfigParsing:
             1, (45,) * 4, ("swish", "sigmoid", "sigmoid", "sigmoid", "linear")
         )
 
+    def test_one_activation_per_hidden_width(self, tmp_path, capsys):
+        # The linear output layer is always appended, so a linear last hidden
+        # layer can be written and a network has one spelling.
+        path = tmp_path / "c.yaml"
+        path.write_text("experiment: exp1\nnet: {widths: [4, 4], activations: [swish, linear]}\n")
+        assert load_config(path).branch_spec(1) == BranchSpec(1, (4, 4), ("swish", "linear", "linear"))
+        path = write_config(tmp_path / "c1.yaml", net={"widths": [4], "activations": ["swish", "linear"]})
+        assert main(["run", str(path)]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1 and captured.err.startswith("config error:")
+        assert not (tmp_path / "out" / "results.csv").exists()
+
     def test_readme_schema_loads(self, tmp_path):
         readme = (Path(__file__).parents[1] / "README.md").read_text()
         schema = readme.split("### Configuration schema", 1)[1].split("```yaml\n", 1)[1].split("```", 1)[0]
@@ -230,6 +243,10 @@ class TestRunner:
             {"metric": {"n_mc": 60.5}},
             {"metric": {"n_mc": 60, "reference": "coupled", "mesh": 1}},
             {"metric": {"n_mc": 60, "grid_points": 1}},
+            {"metric": {"n_mc": 60, "mesh": 8}},
+            {"metric": {"n_mc": 60, "reference": "fem", "grid_points": 33}},
+            {"metric": {"n_mc": 60, "reference": "coupled", "grid_points": 33, "mesh": 8}},
+            {"experiment": "exp3", "metric": {"n_mc": 60, "grid_points": 33}},
             {"seeds": {"weights": "x"}},
             {"seeds": {"mc": 1.5}},
             {"seeds": {"sobol": -1}},
@@ -248,6 +265,7 @@ class TestRunner:
         ],
         ids=[
             "n_mc-text", "n_mc-zero", "n_mc-float", "mesh-1", "grid-1",
+            "mesh-analytic", "grid-fem", "grid-coupled", "grid-default-fem",
             "seed-text", "seed-float", "seed-negative", "sobol-zero",
             "batch-float", "steps-float", "count-bool", "validation-zero", "checkpoint-zero",
             "threshold-text", "train-seed", "net-unknown", "net-activations-alone", "out_dir-int",
@@ -272,7 +290,9 @@ class TestRunner:
         # exp3 at N=16, P=6 has 74,613 branches; one strong step at batch 256
         # needs a tape of hundreds of GB, refused before any tensor is built.
         train = {"batch_size": 256, "steps_per_epoch": 1, "max_epochs": 1}
-        path = write_config(tmp_path / "c.yaml", experiment="exp3", N=16, P=6, net={}, train=train)
+        path = write_config(
+            tmp_path / "c.yaml", experiment="exp3", N=16, P=6, net={}, train=train, metric={"n_mc": 60}
+        )
         start = time.perf_counter()
         assert main(["run", str(path)]) == EXIT_CONFIG
         elapsed = time.perf_counter() - start
@@ -289,7 +309,9 @@ class TestRunner:
         # nonzeros and the contraction's product buffers.  With one byte less
         # than their sum the sweep is refused, and the message names each term.
         train = {"batch_size": 256, "steps_per_epoch": 1, "max_epochs": 1}
-        path = write_config(tmp_path / "c.yaml", experiment="exp3", N=6, P=4, net={}, train=train)
+        path = write_config(
+            tmp_path / "c.yaml", experiment="exp3", N=6, P=4, net={}, train=train, metric={"n_mc": 60}
+        )
         spec = BranchSpec(1, (45,) * 5, ("swish",) * 5 + ("linear",))
         tape, scratch = tape_nbytes(spec, 210, 256, order=2), scratch_nbytes(spec, 210, 256, order=2)
         stored, products = galerkin_nbytes(6, 4, 256)

@@ -17,6 +17,8 @@ from sgnet.fields import (
     pathwise_sampler,
 )
 from sgnet.metrics import (
+    _h1_terms,
+    _spectral_reconstruction,
     coupled_evaluator,
     exact_exp1_evaluator,
     fem_evaluator,
@@ -28,7 +30,7 @@ from sgnet.metrics import (
 from sgnet.reference import Mesh1D, Mesh2D, fem_pathwise, sga_fem_coupled
 from sgnet.spectral import PolyFamily, basis_matrix, galerkin_tensor, total_degree_basis
 
-from oracles import ExactCoefficientNet, nodal_interpolant
+from oracles import ExactCoefficientNet, nodal_interpolant, spectral_sum
 
 FROZEN = Path(__file__).parent / "data" / "fem_evaluator_frozen.npz"
 
@@ -292,6 +294,43 @@ class TestEvaluators:
             seed=7,
         )["coupled"]
         assert report.rel_error < 2e-3
+
+
+class TestSpectralReconstruction:
+    """The BLAS reconstruction against a term-by-term sum over the basis."""
+
+    # (experiment, N, P, grid): exp3-shaped in 1-D (K=28), exp2-shaped in 2-D (K=9).
+    CASES = [
+        ("exp3", 6, 2, uniform_grid_1d(65)),
+        ("exp2", 8, 1, midpoint_grid(Mesh2D(8))),
+    ]
+
+    @pytest.mark.parametrize("experiment, n_vars, degree, grid", CASES, ids=["exp3-1d", "exp2-2d"])
+    def test_matches_term_by_term_sum(self, experiment, n_vars, degree, grid):
+        model = field_model(experiment, n_vars)
+        basis = total_degree_basis(n_vars, degree, model.family)
+        rng = np.random.default_rng(3)
+        n_points = grid.points.shape[0]
+        values = rng.normal(size=(n_points, basis.size))
+        grads = rng.normal(size=(n_points, basis.size, grid.dim))
+        samples = draw_samples(model.family, n_vars, 17, rng)
+        value, grad = _spectral_reconstruction(basis, values, grads)(samples)
+        expected_value, expected_grad = spectral_sum(basis, samples, values, grads)
+        assert value.shape == expected_value.shape and grad.shape == expected_grad.shape
+        for got, want in ((value, expected_value), (grad, expected_grad)):
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_h1_terms_match_summed_squares(self, dim):
+        rng = np.random.default_rng(dim)
+        value = rng.normal(size=(7, 40))
+        grad = rng.normal(size=(7, 40, dim))
+        w = rng.uniform(size=40)
+        expected = ((value**2) + (grad**2).sum(-1)) @ w
+        np.testing.assert_allclose(_h1_terms(value, grad, w), expected, rtol=1e-14)
+        # The reconstruction returns its gradients as a view with the direction outermost.
+        strided = np.ascontiguousarray(grad.transpose(2, 0, 1)).transpose(1, 2, 0)
+        np.testing.assert_array_equal(_h1_terms(value, strided, w), _h1_terms(value, grad, w))
 
 
 class TestFemEvaluator:

@@ -114,6 +114,16 @@ def test_non_finite_diffusion_is_rejected(mesh, bad):
         fem_pathwise(mesh, a_q, np.ones_like(a_q))
 
 
+@pytest.mark.parametrize("mesh", [Mesh1D(4), Mesh2D(3)], ids=["1d", "2d"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_forcing_is_rejected(mesh, bad):
+    # The pathwise solve skips scipy's finiteness scan, so the forcing is checked first.
+    f_q = np.ones(len(mesh.quad_points))
+    f_q[2] = bad
+    with pytest.raises(ValueError, match="forcing is not finite"):
+        fem_pathwise(mesh, np.ones_like(f_q), f_q)
+
+
 class TestFem2D:
     def test_manufactured_sine_convergence(self):
         # -lap u = 2 pi^2 sin(pi x) sin(pi y): L2 error drops ~4x per refinement.

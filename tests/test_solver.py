@@ -389,6 +389,43 @@ class TestAdam:
         with pytest.raises(TrainingDivergedError):
             adam_step(np.zeros(2), np.array([1.0, np.nan]), state, lr=0.1)
 
+    def test_ranged_update_is_bitwise_the_whole_array_update(self):
+        # The textbook whole-array update, kept here as the oracle: the update
+        # over cache-sized ranges must give the same iterate and moments bit
+        # for bit, over a size that leaves a partial last range.
+        def whole_array_step(theta, grad, state, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+            state.t += 1
+            state.m *= beta1
+            state.m += (1.0 - beta1) * grad
+            state.v *= beta2
+            state.v += (1.0 - beta2) * grad * grad
+            m_hat = state.m / (1.0 - beta1**state.t)
+            v_hat = state.v / (1.0 - beta2**state.t)
+            return theta - lr * m_hat / (np.sqrt(v_hat) + eps)
+
+        rng = np.random.default_rng(4)
+        n = 100_003
+        theta = rng.normal(size=n)
+        ranged, whole = AdamState.zeros(n), AdamState.zeros(n)
+        current, expected = theta.copy(), theta.copy()
+        for step in range(5):
+            grad = rng.normal(size=n) * 10.0 ** rng.integers(-6, 3, size=n)
+            lr = 1e-3 * 0.97**step
+            current = adam_step(current, grad, ranged, lr)
+            expected = whole_array_step(expected, grad, whole, lr)
+            np.testing.assert_array_equal(current, expected)
+        np.testing.assert_array_equal(ranged.m, whole.m)
+        np.testing.assert_array_equal(ranged.v, whole.v)
+        assert ranged.t == whole.t == 5
+
+    def test_update_leaves_the_iterate_untouched(self):
+        state = AdamState.zeros(40_000)
+        theta = np.linspace(-1.0, 1.0, 40_000)
+        kept = theta.copy()
+        new = adam_step(theta, np.ones_like(theta), state, lr=0.1)
+        np.testing.assert_array_equal(theta, kept)
+        assert not np.shares_memory(new, theta)
+
 
 class TestTraining:
     def small_config(self, **kwargs):
