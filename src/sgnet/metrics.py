@@ -6,6 +6,11 @@ batch evaluators mapping realizations to values and gradients on the grid, so
 the same machinery compares networks against analytic, pathwise-FEM and
 coupled-FEM references.  One Monte Carlo pass evaluates the reference once
 per sample for every surrogate.
+
+The pass runs its chunks of samples on the workers of :mod:`sgnet.workers`,
+so an evaluator may be called from two threads at once: it must not change
+shared state while it evaluates, and it must not call :func:`sgnet.workers.run`
+itself.  The evaluators built here do all their set-up before they return.
 """
 
 from __future__ import annotations
@@ -15,6 +20,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
+from . import workers
 from .fields import FieldModel, draw_samples, pathwise_sampler
 from .net import MultiBranchNet
 from .reference import CoupledSolution, Mesh1D, Mesh2D, fem_pathwise
@@ -128,20 +134,30 @@ def rel_h1_error(
     trapezoid rule; both are then averaged over realizations and the ratio of
     square roots is reported.  Each chunk of realizations reaches the
     reference once, whatever the number of surrogates.
+
+    Worker w measures the chunks ``starts[w::n_workers]`` and writes only
+    their rows; the means are formed after the pass, so the report does not
+    depend on the worker count.
     """
     rng = np.random.default_rng(seed)
     samples = draw_samples(model.family, model.n_vars, n_mc, rng)
     numerator_terms = {name: np.empty(n_mc) for name in surrogates}
     denominator_terms = np.empty(n_mc)
     w = grid.weights
-    for start in range(0, n_mc, chunk):
-        block = samples[start : start + chunk]
-        rows = slice(start, start + block.shape[0])
-        u, du = reference(block)
-        denominator_terms[rows] = _h1_terms(u, du, w)
-        for name, surrogate in surrogates.items():
-            v, dv = surrogate(block)
-            numerator_terms[name][rows] = _h1_terms(u - v, du - dv, w)
+    starts = range(0, n_mc, chunk)
+    n_workers = max(1, min(workers.count(), len(starts)))
+
+    def measure(worker: int) -> None:
+        for start in starts[worker::n_workers]:
+            block = samples[start : start + chunk]
+            rows = slice(start, start + block.shape[0])
+            u, du = reference(block)
+            denominator_terms[rows] = _h1_terms(u, du, w)
+            for name, surrogate in surrogates.items():
+                v, dv = surrogate(block)
+                numerator_terms[name][rows] = _h1_terms(u - v, du - dv, w)
+
+    workers.run(measure, n_workers)
     if np.mean(denominator_terms) <= 0.0:
         raise ValueError("degenerate reference: zero H1 norm")
     return {name: _report(terms, denominator_terms, grid) for name, terms in numerator_terms.items()}
@@ -248,14 +264,16 @@ def fem_evaluator(
 ) -> PathwiseEvaluator:
     """Pathwise FEM reference on the grid; one solve per realization.
 
-    The part that no realization changes is set up once: here, the field's
-    factors at the mesh's quadrature points and the grid's interpolation
-    cells; on the mesh's first solve, its dof map and band scatter slots.
+    The part that no realization changes is set up here, once: the field's
+    factors at the mesh's quadrature points, the grid's interpolation cells
+    and the mesh's own solve set-up (its quadrature in 1-D, its dof map and
+    band scatter slots in 2-D), so that no two workers race to build it.
     Each realization then forms its field, assembles and solves it, and is
     interpolated onto the grid.
     """
     field_values = pathwise_sampler(model, mesh.quad_points)
     interpolate = _interpolant(mesh, grid.points)
+    _ = mesh._quadrature if isinstance(mesh, Mesh1D) else mesh._scatter  # cached on the mesh
 
     def evaluate(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         m = samples.shape[0]

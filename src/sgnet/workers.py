@@ -1,11 +1,12 @@
 """One worker per CPU for the parts of a pass that share no output.
 
-The network pass (:mod:`sgnet.net`) runs in blocks of branches and the
-triple-product contraction (:mod:`sgnet.spectral`) in ranges of points; no
-two parts write the same output.  :func:`run` hands every worker its own
-share of the parts and its own scratch, and each part does the same
-arithmetic on whichever worker runs it, so results do not depend on the
-worker count.  numpy's ufuncs and matrix products and scipy's sparse
+The network pass (:mod:`sgnet.net`) runs in blocks of branches, the
+triple-product contraction (:mod:`sgnet.spectral`) in ranges of points and
+the error metric's Monte Carlo pass (:mod:`sgnet.metrics`) in chunks of
+samples; no two parts write the same output.  :func:`run` hands every
+worker its own share of the parts and its own scratch, and each part does
+the same arithmetic on whichever worker runs it, so results do not depend
+on the worker count.  numpy's ufuncs and matrix products and scipy's sparse
 products release the interpreter lock, so the workers' arithmetic overlaps.
 
 There is one worker per CPU in the process's affinity mask, so ``taskset``

@@ -351,7 +351,10 @@ class TestRunner:
             PolyFamily.HERMITE, 1, config.metric.n_mc, np.random.default_rng(config.seed_mc)
         )
         assert len(seen) == len(config.p_values)
+        first_rows = {row.tobytes(): i for i, row in enumerate(expected)}
         for blocks in seen:
+            # The workers reach the reference in any order: lay the blocks out by their first sample.
+            blocks.sort(key=lambda block: first_rows[block[0].tobytes()])
             np.testing.assert_array_equal(np.concatenate(blocks), expected)
         rows = read_results(Path(config.out_dir))
         assert len(rows) == 2 * len(config.p_values)

@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from sgnet import fields as fields_module
+from sgnet import workers
 from sgnet.fields import (
     draw_samples,
     exp1_forcing_coeffs,
@@ -205,10 +207,31 @@ class TestRelH1Error:
             return reference(samples)
 
         joint = rel_h1_error(counting, surrogates, grid, model, n_mc=700, seed=9, chunk=256)
-        assert seen == [256, 256, 188]
+        assert sorted(seen) == [188, 256, 256]  # the chunks may reach the reference in any order
         for name, surrogate in surrogates.items():
             alone = rel_h1_error(reference, {name: surrogate}, grid, model, n_mc=700, seed=9, chunk=256)
             assert joint[name] == alone[name]
+
+    def test_more_workers_than_cpus_fill_every_row(self, monkeypatch):
+        # Workers write the rows of their own chunks into shared arrays: with
+        # more workers than CPUs, switching threads every microsecond, the
+        # report is still the one-worker report, bit for bit.
+        model = field_model("exp1", 1)
+        grid = uniform_grid_1d(33)
+        surrogate = net_evaluator(truncated_exact_net(2), total_degree_basis(1, 2, PolyFamily.HERMITE), grid)
+        args = (exact_exp1_evaluator(grid), {"v": surrogate}, grid, model)
+        n_workers = workers.count() + 3
+        monkeypatch.setattr(workers, "count", lambda: n_workers)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            parallel = rel_h1_error(*args, n_mc=997, seed=4, chunk=7)
+        finally:
+            sys.setswitchinterval(interval)
+        # The one-worker pass runs second, so a row left unwritten above cannot
+        # reuse memory that already holds its value.
+        monkeypatch.setattr(workers, "count", lambda: 1)
+        assert parallel == rel_h1_error(*args, n_mc=997, seed=4, chunk=7)
 
     def test_grid_refinement_stability(self):
         model = field_model("exp1", 1)
@@ -367,6 +390,25 @@ class TestFemEvaluator:
         values, grads = fem_evaluator(model, mesh, midpoint_grid(mesh))(samples)
         np.testing.assert_array_equal(values, expected[0])
         np.testing.assert_array_equal(grads, expected[1])
+
+    @pytest.mark.parametrize(
+        "kind, n_vars, mesh, setup",
+        [
+            pytest.param("exp2", 3, Mesh2D(8), "_scatter", id="exp2-mesh8"),
+            pytest.param("exp3", 3, Mesh1D(32), "_quadrature", id="exp3-mesh32"),
+        ],
+    )
+    def test_mesh_is_set_up_before_the_workers_start(self, monkeypatch, kind, n_vars, mesh, setup):
+        # The evaluator builds the mesh's solve set-up itself, so two workers'
+        # first solves never race to build it: the pass only reads it.
+        model = field_model(kind, n_vars)
+        grid = midpoint_grid(mesh)
+        reference = fem_evaluator(model, mesh, grid)
+        built = mesh.__dict__[setup]
+        monkeypatch.setattr(workers, "count", lambda: 2)
+        report = rel_h1_error(reference, {"self": reference}, grid, model, n_mc=6, seed=0, chunk=3)["self"]
+        assert report.rel_error == 0.0
+        assert mesh.__dict__[setup] is built
 
     @pytest.mark.parametrize(
         "kind, n_vars, mesh, factor",

@@ -18,8 +18,17 @@ import pytest
 import sgnet
 from sgnet import net as net_module
 from sgnet import workers
-from sgnet.fields import field_model, make_spectral_field
+from sgnet.fields import draw_samples, field_model, make_spectral_field
+from sgnet.metrics import (
+    exact_exp1_evaluator,
+    fem_evaluator,
+    midpoint_grid,
+    net_evaluator,
+    rel_h1_error,
+    uniform_grid_1d,
+)
 from sgnet.net import BranchSpec, MultiBranchNet
+from sgnet.reference import Mesh2D
 from sgnet.solver import TrainConfig, train
 from sgnet.spectral import PolyFamily, galerkin_tensor, total_degree_basis
 
@@ -67,6 +76,22 @@ def _worker_results() -> dict[str, object]:
             if order == 2:
                 cotangents["d_lap"] = rng.normal(size=record.laplacian.shape)
             out[f"param_grad_d{d}_o{order}"] = net.param_grad(record, **cotangents)
+    # Error reports over chunks of Monte Carlo samples: three chunks with a
+    # short last one against the analytic exp1 reference, and three chunks of
+    # 2-D pathwise solves, each against a small net.
+    exp1, exp2, mesh = field_model("exp1", 1), field_model("exp2", 2), Mesh2D(8)
+    line, square = uniform_grid_1d(65), midpoint_grid(mesh)
+    for model, reference, grid, n_mc, chunk in (
+        (exp1, exact_exp1_evaluator(line), line, 1300, 512),
+        (exp2, fem_evaluator(exp2, mesh, square), square, 40, 16),
+    ):
+        basis = total_degree_basis(model.n_vars, 2, model.family)
+        net = MultiBranchNet(BranchSpec(grid.dim, (7,), ("swish", "linear")), basis.size, seed=4)
+        surrogate = net_evaluator(net, basis, grid)
+        report = rel_h1_error(reference, {"net": surrogate}, grid, model, n_mc=n_mc, seed=5, chunk=chunk)["net"]
+        out[f"rel_h1_error_{model.kind}"] = np.array(
+            [report.rel_error, report.numerator, report.denominator, report.mc_standard_error]
+        )
     # The exp3 shape of the benchmark: K=210 at N=6, P=4, a 5x45 net, batch 256.
     model = field_model("exp3", 6)
     basis = total_degree_basis(6, 4, PolyFamily.HERMITE)
@@ -187,6 +212,29 @@ class TestPoolLifecycle:
         with pytest.raises(FloatingPointError, match="worker 1"):
             net.evaluate(np.full((3, 1), 0.5), 1)
         assert sorted(calls) == [False, True]
+
+    def test_an_exception_in_a_metric_chunk_reaches_the_caller(self, monkeypatch):
+        # Worker 1 takes the second chunk and its surrogate raises; the caller
+        # gets the exception, and no report, once worker 0 has finished its chunk.
+        monkeypatch.setattr(workers, "count", lambda: 2)
+        model = field_model("exp1", 1)
+        grid = uniform_grid_1d(17)
+        reference = exact_exp1_evaluator(grid)
+        second_chunk = draw_samples(model.family, 1, 8, np.random.default_rng(0))[4:]
+        finished = threading.Event()
+
+        def surrogate(samples):
+            if np.array_equal(samples, second_chunk):
+                raise ZeroDivisionError("raised on worker 1's chunk")
+            time.sleep(0.2)
+            finished.set()
+            return reference(samples)
+
+        reports = None
+        with pytest.raises(ZeroDivisionError, match="worker 1"):
+            reports = rel_h1_error(reference, {"v": surrogate}, grid, model, n_mc=8, seed=0, chunk=4)
+        assert finished.is_set()
+        assert reports is None
 
 
 class TestWorkerCountInvariance:
