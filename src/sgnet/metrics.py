@@ -9,8 +9,10 @@ per sample for every surrogate.
 
 The pass runs its chunks of samples on the workers of :mod:`sgnet.workers`,
 so an evaluator may be called from two threads at once: it must not change
-shared state while it evaluates, and it must not call :func:`sgnet.workers.run`
-itself.  The evaluators built here do all their set-up before they return.
+shared state while it evaluates.  It may start a pass of its own, which
+runs on the workers when the metric's pass has one chunk and inline in a
+chunk's thread otherwise.  The evaluators built here do all their set-up
+before they return.
 """
 
 from __future__ import annotations
@@ -269,7 +271,8 @@ def fem_evaluator(
     and the mesh's own solve set-up (its quadrature in 1-D, its dof map and
     band scatter slots in 2-D), so that no two workers race to build it.
     Each realization then forms its field, assembles and solves it, and is
-    interpolated onto the grid.
+    interpolated onto the grid; worker w takes realizations w, w + n, ... of
+    a call and writes only their rows.
     """
     field_values = pathwise_sampler(model, mesh.quad_points)
     interpolate = _interpolant(mesh, grid.points)
@@ -279,8 +282,13 @@ def fem_evaluator(
         m = samples.shape[0]
         values = np.empty((m, grid.points.shape[0]))
         grads = np.empty((m, grid.points.shape[0], grid.dim))
-        for i in range(m):
-            values[i], grads[i] = interpolate(fem_pathwise(mesh, *field_values(samples[i])))
+        n_workers = max(1, min(workers.count(), m))
+
+        def solve(worker: int) -> None:
+            for i in range(worker, m, n_workers):
+                values[i], grads[i] = interpolate(fem_pathwise(mesh, *field_values(samples[i])))
+
+        workers.run(solve, n_workers)
         return values, grads
 
     return evaluate

@@ -9,11 +9,12 @@ minimizes the same energy the Ritz-trained network minimizes.
 
 from __future__ import annotations
 
+import ctypes
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import LinAlgError, solveh_banded
+from scipy.linalg import cython_lapack
 
 from .fields import SpectralField
 from .spectral import GalerkinTensor, PolyFamily, gauss_rule
@@ -101,7 +102,7 @@ class Mesh2D:
     @cached_property
     def _scatter(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Flat (element, i, j) entries of the element matrices that enter the upper band, their
-        slots in the flattened (n + 1, n_dof) band, and the global node of every (element, i).
+        slots in the column-major (n + 1, n_dof) band, and the global node of every (element, i).
 
         Interior nodes are numbered row-major, so the interior stiffness has half-bandwidth n.
         """
@@ -115,7 +116,7 @@ class Mesh2D:
         dofs = node_dof.ravel()[local_nodes]
         rows, cols = dofs[:, :, None], dofs[:, None, :]
         keep = (rows >= 0) & (rows <= cols)  # boundary dofs are -1
-        slots = ((n + rows - cols) * n_dof + cols)[keep]
+        slots = (cols * (n + 1) + n + rows - cols)[keep]
         return np.flatnonzero(keep), slots, local_nodes.ravel()
 
 
@@ -144,21 +145,63 @@ def _read_only(array: np.ndarray) -> np.ndarray:
     return array
 
 
+# LAPACK's banded Cholesky solvers, called through the pointers scipy exports
+# for Cython.  A ctypes foreign function releases the interpreter lock for the
+# call, which scipy's own f2py wrappers hold throughout.
+_DOUBLE = "__pyx_t_5scipy_6linalg_13cython_lapack_d *"
+_ARGUMENT_TYPES = {"char *": ctypes.c_char_p, "int *": ctypes.POINTER(ctypes.c_int), _DOUBLE: ctypes.c_void_p}
+_capsule_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(("PyCapsule_GetName", ctypes.pythonapi))
+_capsule_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+    ("PyCapsule_GetPointer", ctypes.pythonapi)
+)
+
+
+def _lapack(name: str, *arguments: str) -> ctypes._CFuncPtr:
+    """scipy's pointer to LAPACK routine ``name``, refused unless it takes ``arguments`` (LP64 ints)."""
+    capsule = cython_lapack.__pyx_capi__[name]
+    signature = f"void ({', '.join(arguments)})"
+    found = _capsule_name(capsule)
+    if found != signature.encode():
+        raise ImportError(f"scipy's LAPACK {name} has the signature {found!r}, not the LP64 {signature!r}")
+    return ctypes.CFUNCTYPE(None, *(_ARGUMENT_TYPES[a] for a in arguments))(_capsule_pointer(capsule, found))
+
+
+# dpbsv(uplo, n, kd, nrhs, ab, ldab, b, ldb, info) and dptsv(n, nrhs, d, e, b, ldb, info)
+_dpbsv = _lapack("dpbsv", "char *", "int *", "int *", "int *", _DOUBLE, "int *", _DOUBLE, "int *", "int *")
+_dptsv = _lapack("dptsv", "int *", "int *", _DOUBLE, _DOUBLE, _DOUBLE, "int *", "int *")
+
+
 def _solve_spd_banded(band: np.ndarray, rhs: np.ndarray, check_finite: bool = True) -> np.ndarray:
     """Cholesky solve of a symmetric positive definite system in upper band storage.
 
-    ``band[bw + i - j, j] = A[i, j]`` for ``i <= j``, with ``bw + 1`` rows (the
-    LAPACK layout); the band is overwritten.  A matrix that is not positive
-    definite raises ``FieldPositivityError``.  ``check_finite=False`` skips
-    scipy's scan of band and load, for callers that checked their inputs.
+    ``band[bw + i - j, j] = A[i, j]`` for ``i <= j``, with ``bw + 1`` rows, in
+    column-major order (the LAPACK layout, so LAPACK reads it in place); the
+    band may be overwritten.  Two rows go to LAPACK's tridiagonal ``dptsv``
+    and any other number to ``dpbsv``, as ``scipy.linalg.solveh_banded``
+    routes them, and neither holds the interpreter lock.  A matrix that is
+    not positive definite raises ``FieldPositivityError``.
+    ``check_finite=False`` skips the scan of band and load, for callers that
+    checked their inputs.
     """
-    # An n x n matrix has no offsets of n or more; dropping those rows also
-    # keeps a single unknown off scipy's two-row path, which rejects it.
-    try:
-        return solveh_banded(band[-band.shape[1] :], rhs, overwrite_ab=True, check_finite=check_finite)
-    except LinAlgError as exc:
-        message = f"the discrete operator is not positive definite: {exc}"
-        raise FieldPositivityError(message) from exc
+    rows, n = band.shape
+    if band.dtype != np.float64 or not band.flags.f_contiguous or n < 1 or np.shape(rhs) != (n,):
+        raise ValueError(f"need a column-major float64 band of 1 or more columns and a load of {n} values")
+    if check_finite and not (np.isfinite(band).all() and np.isfinite(rhs).all()):
+        raise ValueError("array must not contain infs or NaNs")
+    solution = np.array(rhs, dtype=np.float64)
+    size, one, info = ctypes.c_int(n), ctypes.c_int(1), ctypes.c_int(0)
+    # An n x n matrix has no offsets of n or more, so only the last n rows count.
+    kept = min(rows, n)
+    if kept == 2:
+        diagonal, off_diagonal = band[-1].copy(), band[-2, 1:].copy()
+        _dptsv(size, one, diagonal.ctypes.data, off_diagonal.ctypes.data, solution.ctypes.data, size, info)
+    else:
+        top = band.ctypes.data + (rows - kept) * band.itemsize
+        _dpbsv(b"U", size, ctypes.c_int(kept - 1), one, top, ctypes.c_int(rows), solution.ctypes.data, size, info)
+    if info.value > 0:  # the checks above leave LAPACK no illegal argument to report
+        message = f"the discrete operator is not positive definite: {info.value}th leading minor not positive definite"
+        raise FieldPositivityError(message)
+    return solution
 
 
 def _fem_1d(mesh: Mesh1D, a_q: np.ndarray, f_q: np.ndarray) -> np.ndarray:
@@ -170,7 +213,7 @@ def _fem_1d(mesh: Mesh1D, a_q: np.ndarray, f_q: np.ndarray) -> np.ndarray:
     load_left = (f_q * (1.0 - t) * qw).sum(axis=1)
     load_right = (f_q * t * qw).sum(axis=1)
 
-    band = np.zeros((2, mesh.n_elem - 1))
+    band = np.zeros((2, mesh.n_elem - 1), order="F")
     band[0, 1:] = -stiff[1:-1]
     band[1] = stiff[:-1] + stiff[1:]
     solution = np.zeros(mesh.n_elem + 1)
@@ -189,12 +232,12 @@ def _fem_2d(mesh: Mesh2D, a_q: np.ndarray, f_q: np.ndarray) -> np.ndarray:
     k_local = np.einsum("eq,qij->eij", a_q, _Q1_STIFFNESS)
     f_local = f_q @ _Q1_LOAD * (h * h)
     n_dof = (n - 1) ** 2
-    band = np.bincount(slots, weights=k_local.reshape(-1)[kept], minlength=(n + 1) * n_dof)
+    band = np.bincount(slots, weights=k_local.reshape(-1)[kept], minlength=(n + 1) * n_dof).reshape(n_dof, n + 1).T
     rhs = np.bincount(nodes, weights=f_local.ravel(), minlength=stride**2)
 
     solution = np.zeros((stride, stride))
     solution[1:-1, 1:-1] = _solve_spd_banded(
-        band.reshape(n + 1, n_dof), rhs.reshape(stride, stride)[1:-1, 1:-1].ravel(), check_finite=False
+        band, rhs.reshape(stride, stride)[1:-1, 1:-1].ravel(), check_finite=False
     ).reshape(n - 1, n - 1)
     return solution
 
@@ -206,7 +249,7 @@ def fem_pathwise(mesh: Mesh1D | Mesh2D, a_q: np.ndarray, f_q: np.ndarray) -> np.
     points ``mesh.quad_points``, one value per point, as
     :func:`~sgnet.fields.pathwise_sampler` forms them.  Everything that depends
     on the mesh alone is set up on the mesh's first solve and reused.  Both
-    inputs are checked here, so the banded solve skips scipy's finiteness scan.
+    inputs are checked here, so the banded solve skips its finiteness scan.
     """
     per_element = (mesh.n_elem, 2) if isinstance(mesh, Mesh1D) else (mesh.n**2, 4)
     a_q, f_q = (np.asarray(v, dtype=float).reshape(per_element) for v in (a_q, f_q))
@@ -264,7 +307,7 @@ def assemble_coupled_system(
     # Band column (node, j) holds column j of the node's diagonal block in rows
     # 2 size - 1 + i - j (i <= j) and column j of the block coupling it to the
     # previous node in rows size - 1 + i - j (all i).
-    band = np.zeros((2 * size, n_int, size))
+    band = np.zeros((n_int, size, 2 * size)).transpose(2, 0, 1)  # column-major once flattened
     upper_i, upper_j = np.triu_indices(size)
     band[2 * size - 1 + upper_i - upper_j, :, upper_j] = (
         (a_blocks[:-1] + a_blocks[1:])[:, upper_i, upper_j] * inv_h2

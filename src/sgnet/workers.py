@@ -1,13 +1,16 @@
 """One worker per CPU for the parts of a pass that share no output.
 
 The network pass (:mod:`sgnet.net`) runs in blocks of branches, the
-triple-product contraction (:mod:`sgnet.spectral`) in ranges of points and
-the error metric's Monte Carlo pass (:mod:`sgnet.metrics`) in chunks of
-samples; no two parts write the same output.  :func:`run` hands every
-worker its own share of the parts and its own scratch, and each part does
-the same arithmetic on whichever worker runs it, so results do not depend
-on the worker count.  numpy's ufuncs and matrix products and scipy's sparse
-products release the interpreter lock, so the workers' arithmetic overlaps.
+triple-product contraction (:mod:`sgnet.spectral`) in ranges of points, the
+error metric's Monte Carlo pass (:mod:`sgnet.metrics`) in chunks of samples
+and the pathwise FEM reference in single samples; no two parts write the
+same output.  :func:`run` hands every worker its own share of the parts and
+its own scratch, and each part does the same arithmetic on whichever worker
+runs it, so results do not depend on the worker count.  numpy's ufuncs and
+matrix products, scipy's sparse products and the reference's banded solves
+release the interpreter lock, so the workers' arithmetic overlaps.  A pass
+started inside a part of another pass runs its parts in order on that
+part's thread.
 
 There is one worker per CPU in the process's affinity mask, so ``taskset``
 sets the count.  Worker 0 is the calling thread.  The others are the threads
@@ -24,6 +27,7 @@ from typing import Callable
 
 _lock = threading.Lock()
 _pool: ThreadPoolExecutor | None = None
+_inside = threading.local()  # .part is true on a thread while it runs a part of a shared pass
 
 
 def count() -> int:
@@ -45,17 +49,30 @@ def run(task: Callable[[int], None], n_workers: int) -> None:
     """Call ``task(w)`` for w = 0, ..., n_workers - 1: w = 0 in the caller, the rest on the pool.
 
     Returns once every call has returned, and then raises the first
-    exception a call raised (the caller's own first).  A task must not call
-    :func:`run` itself: with the pool's threads busy, it would wait on its
-    own parts.
+    exception a call raised (the caller's own first).  Called from inside a
+    part of a pass with two workers or more, it makes its calls in order on
+    the calling thread, up to the first that raises, since the pool's
+    threads may all be busy with that pass.
     """
-    futures = [_executor().submit(task, w) for w in range(1, n_workers)]
+    if n_workers < 2 or getattr(_inside, "part", False):
+        for worker in range(n_workers):
+            task(worker)
+        return
+    futures = [_executor().submit(_part, task, w) for w in range(1, n_workers)]
     try:
-        task(0)
+        _part(task, 0)
     finally:
         wait(futures)
     for future in futures:
         future.result()
+
+
+def _part(task: Callable[[int], None], worker: int) -> None:
+    _inside.part = True
+    try:
+        task(worker)
+    finally:
+        _inside.part = False
 
 
 def _forget_pool() -> None:

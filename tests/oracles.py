@@ -214,6 +214,46 @@ def dense_from_upper_band(band: np.ndarray) -> np.ndarray:
     return dense
 
 
+def dense_q1_solve(n: int, a, f) -> np.ndarray:
+    """Bilinear FEM solution of -div(a grad u) = f, u = 0 on the boundary of the unit square.
+
+    The n x n grid's element matrices are formed one element at a time with
+    numpy's own 2 x 2 Gauss-Legendre rule and the corner hat functions in
+    physical coordinates, summed into the dense matrix of all (n + 1)^2
+    nodes, and the interior block is solved densely.  ``a`` and ``f`` map
+    points of shape (m, 2) to values (m,).  Returns nodal values u[ix, iy] at
+    (ix h, iy h).
+    """
+    h = 1.0 / n
+    gauss, weights = np.polynomial.legendre.leggauss(2)
+    local = 0.5 * (gauss + 1.0)
+    nodes = (n + 1) ** 2
+    stiffness = np.zeros((nodes, nodes))
+    load = np.zeros(nodes)
+    for ex in range(n):
+        for ey in range(n):
+            corners = [(ex + cx, ey + cy, cx, cy) for cx in (0, 1) for cy in (0, 1)]
+            for xi, w_xi in zip(local, weights):
+                for eta, w_eta in zip(local, weights):
+                    point = np.array([[(ex + xi) * h, (ey + eta) * h]])
+                    weight = 0.25 * w_xi * w_eta * h * h
+                    a_q, f_q = float(a(point)[0]), float(f(point)[0])
+                    hats, grads = [], []
+                    for _, _, cx, cy in corners:
+                        hx, hy = (xi if cx else 1.0 - xi), (eta if cy else 1.0 - eta)
+                        sx, sy = (1.0 if cx else -1.0) / h, (1.0 if cy else -1.0) / h
+                        hats.append(hx * hy)
+                        grads.append(np.array([sx * hy, hx * sy]))
+                    for p, (px, py, _, _) in enumerate(corners):
+                        load[px * (n + 1) + py] += weight * f_q * hats[p]
+                        for q, (qx, qy, _, _) in enumerate(corners):
+                            stiffness[px * (n + 1) + py, qx * (n + 1) + qy] += weight * a_q * grads[p] @ grads[q]
+    interior = [ix * (n + 1) + iy for ix in range(1, n) for iy in range(1, n)]
+    solution = np.zeros(nodes)
+    solution[interior] = np.linalg.solve(stiffness[np.ix_(interior, interior)], load[interior])
+    return solution.reshape(n + 1, n + 1)
+
+
 def nodal_interpolant(nodal: np.ndarray, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """P1 (1-D) or Q1 (2-D) interpolant of nodal values on a uniform mesh of [0, 1]^d, point by point.
 

@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import math
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from sgnet import fields as fields_module
+from sgnet import metrics as metrics_module
 from sgnet import workers
 from sgnet.fields import (
     draw_samples,
@@ -390,6 +392,84 @@ class TestFemEvaluator:
         values, grads = fem_evaluator(model, mesh, midpoint_grid(mesh))(samples)
         np.testing.assert_array_equal(values, expected[0])
         np.testing.assert_array_equal(grads, expected[1])
+
+    @pytest.mark.parametrize("kind, n_vars, mesh", CASES)
+    def test_two_workers_share_the_samples(self, monkeypatch, kind, n_vars, mesh):
+        # Each sample is solved once, on one of two threads, into its own
+        # rows: the result is the frozen one-worker result bit for bit.
+        monkeypatch.setattr(workers, "count", lambda: 2)
+        solves = []
+        solve = metrics_module.fem_pathwise
+
+        def recorded(mesh_, a_q, f_q):
+            solves.append((threading.get_ident(), a_q.tobytes()))
+            return solve(mesh_, a_q, f_q)
+
+        monkeypatch.setattr(metrics_module, "fem_pathwise", recorded)
+        with np.load(FROZEN) as frozen:
+            samples = frozen[f"{kind}_samples"]
+            expected = frozen[f"{kind}_values"], frozen[f"{kind}_grads"]
+        model = field_model(kind, n_vars)
+        values, grads = fem_evaluator(model, mesh, midpoint_grid(mesh))(samples)
+        np.testing.assert_array_equal(values, expected[0])
+        np.testing.assert_array_equal(grads, expected[1])
+        fields = pathwise_sampler(model, mesh.quad_points)
+        assert sorted(a for _, a in solves) == sorted(fields(y)[0].tobytes() for y in samples)
+        assert len({thread for thread, _ in solves}) == 2
+
+    def test_more_workers_than_cores_under_frequent_switches(self, monkeypatch):
+        # Four workers on one pool, switching threads every 10 microseconds,
+        # still write every sample's rows exactly as one worker does.
+        model, mesh = field_model("exp2", 3), Mesh2D(6)
+        grid = midpoint_grid(mesh)
+        samples = draw_samples(model.family, 3, 13, np.random.default_rng(7))
+        monkeypatch.setattr(workers, "count", lambda: 1)
+        expected = fem_evaluator(model, mesh, grid)(samples)
+        monkeypatch.setattr(workers, "count", lambda: 4)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            got = fem_evaluator(model, mesh, grid)(samples)
+        finally:
+            sys.setswitchinterval(interval)
+        for a, b in zip(got, expected):
+            np.testing.assert_array_equal(a, b)
+
+    def test_solves_inside_a_multi_chunk_pass_run_inline(self, monkeypatch):
+        # With two chunks or more, the chunks take the workers and each
+        # chunk's reference solves its samples on the chunk's own thread;
+        # the reports are those of one worker, bit for bit.
+        model, mesh = field_model("exp2", 3), Mesh2D(8)
+        grid = midpoint_grid(mesh)
+        in_reference = threading.local()
+        solves = []
+        solve = metrics_module.fem_pathwise
+
+        def recorded(*args):
+            solves.append((threading.get_ident(), getattr(in_reference, "active", False)))
+            return solve(*args)
+
+        def surrogate(samples):
+            return np.full((len(samples), len(grid.points)), 0.01), np.zeros((len(samples), *grid.points.shape))
+
+        monkeypatch.setattr(metrics_module, "fem_pathwise", recorded)
+        reports = {}
+        for n_workers in (1, 2):
+            monkeypatch.setattr(workers, "count", lambda: n_workers)
+            evaluate = fem_evaluator(model, mesh, grid)
+
+            def reference(samples):
+                in_reference.active = True
+                try:
+                    return evaluate(samples)
+                finally:
+                    in_reference.active = False
+
+            solves.clear()
+            reports[n_workers] = rel_h1_error(reference, {"v": surrogate}, grid, model, n_mc=24, seed=3, chunk=8)
+        assert len(solves) == 24 and all(inline for _, inline in solves)
+        assert len({thread for thread, _ in solves}) == 2
+        assert reports[1] == reports[2]
 
     @pytest.mark.parametrize(
         "kind, n_vars, mesh, setup",

@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import math
+import threading
+import time
 
 import numpy as np
 import pytest
 import scipy.sparse.linalg
-from oracles import AffineField, dense_from_upper_band, dense_triple_tensor, exp1_exact
+from oracles import AffineField, dense_from_upper_band, dense_q1_solve, dense_triple_tensor, exp1_exact
+from scipy.linalg import solveh_banded
 
 from sgnet.fields import (
     draw_samples,
@@ -16,11 +19,13 @@ from sgnet.fields import (
     make_spectral_field,
     pathwise_sampler,
 )
+from sgnet import reference as reference_module
 from sgnet.metrics import exact_exp1_evaluator, uniform_grid_1d
 from sgnet.reference import (
     FieldPositivityError,
     Mesh1D,
     Mesh2D,
+    _solve_spd_banded,
     assemble_coupled_system,
     fem_pathwise,
     sga_fem_coupled,
@@ -57,6 +62,99 @@ class TestExactSolution:
             np.testing.assert_allclose(
                 exact_exp1_evaluator(grid)(samples[m : m + 1])[0][0], exp1_exact(xi, x), rtol=1e-15
             )
+
+
+def random_spd_band(rows: int, n: int, seed: int) -> np.ndarray:
+    """Column-major upper band of a random diagonally dominant, so positive definite, matrix."""
+    rng = np.random.default_rng(seed)
+    band = rng.uniform(-1.0, 1.0, size=(rows, n))
+    band[-1] = 2.0 * rows + rng.uniform(size=n)
+    return np.asfortranarray(band)
+
+
+class TestBandedSolve:
+    """The banded Cholesky solve that runs LAPACK without holding the interpreter lock."""
+
+    @pytest.mark.parametrize("rows", [1, 2, 3, 65])
+    def test_matches_scipy_bit_for_bit(self, rows):
+        # Oracle: scipy's own banded solver, which routes two rows to dptsv
+        # and every other band to dpbsv, on a row-major copy of the band.
+        band = random_spd_band(rows, 200, seed=rows)
+        rhs = np.random.default_rng(rows + 1).normal(size=200)
+        expected = solveh_banded(np.ascontiguousarray(band), rhs)
+        np.testing.assert_array_equal(_solve_spd_banded(band.copy(order="F"), rhs), expected)
+
+    @pytest.mark.parametrize("rows, n", [(2, 1), (3, 1), (3, 2), (65, 10)])
+    def test_band_with_more_rows_than_unknowns(self, rows, n):
+        # Offsets of n or more do not exist in an n x n matrix; only the last
+        # n rows are read, as scipy reads a band trimmed to them.
+        band = random_spd_band(rows, n, seed=n)
+        band[: rows - n] = np.nan
+        rhs = np.random.default_rng(n).normal(size=n)
+        got = _solve_spd_banded(band.copy(order="F"), rhs, check_finite=False)
+        np.testing.assert_array_equal(got, solveh_banded(np.ascontiguousarray(band[-n:]), rhs))
+        dense = dense_from_upper_band(np.nan_to_num(band[-n:]))
+        np.testing.assert_allclose(got, np.linalg.solve(dense, rhs), rtol=1e-12, atol=0.0)
+
+    def test_load_is_left_unchanged(self):
+        band, rhs = random_spd_band(3, 20, seed=0), np.ones(20)
+        _solve_spd_banded(band, rhs)
+        np.testing.assert_array_equal(rhs, 1.0)
+
+    @pytest.mark.parametrize("rows", [2, 3])
+    def test_indefinite_band_is_refused(self, rows):
+        band = random_spd_band(rows, 30, seed=rows)
+        band[-1, 11] = -1.0
+        with pytest.raises(FieldPositivityError, match="12th leading minor not positive definite"):
+            _solve_spd_banded(band, np.ones(30))
+
+    @pytest.mark.parametrize("where", ["band", "load"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_input_is_refused(self, where, bad):
+        band, rhs = random_spd_band(3, 12, seed=1), np.ones(12)
+        (band[1] if where == "band" else rhs)[4] = bad
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            _solve_spd_banded(band, rhs)
+
+    def test_row_major_band_and_wrong_load_are_refused(self):
+        band = random_spd_band(3, 12, seed=2)
+        with pytest.raises(ValueError, match="column-major"):
+            _solve_spd_banded(np.ascontiguousarray(band), np.ones(12))
+        with pytest.raises(ValueError, match="load of 12 values"):
+            _solve_spd_banded(band, np.ones(11))
+
+    def test_a_lapack_pointer_of_another_signature_is_refused(self):
+        # scipy built with 64-bit LAPACK integers would export other signatures.
+        with pytest.raises(ImportError, match="dpbsv has the signature"):
+            reference_module._lapack("dpbsv", "int64_t *")
+
+    def test_another_thread_runs_during_the_solve(self):
+        # A thread that wakes every millisecond keeps waking while the solve
+        # is inside LAPACK; were the interpreter lock held, it would stall
+        # for the whole factorization.
+        band, rhs = random_spd_band(201, 30_000, seed=3), np.ones(30_000)
+        stamps, stop = [], threading.Event()
+
+        def tick():
+            while not stop.is_set():
+                stamps.append(time.perf_counter())
+                time.sleep(0.001)
+
+        ticker = threading.Thread(target=tick)
+        ticker.start()
+        try:
+            time.sleep(0.05)
+            start = time.perf_counter()
+            _solve_spd_banded(band, rhs, check_finite=False)
+            end = time.perf_counter()
+        finally:
+            stop.set()
+            ticker.join(timeout=10)
+        assert not ticker.is_alive()
+        during = [start] + [t for t in stamps if start < t < end] + [end]
+        longest_gap = max(np.diff(during))
+        assert end - start > 0.02, "the solve was too short to show a stall"
+        assert longest_gap < 0.25 * (end - start), (longest_gap, end - start)
 
 
 class TestFem1D:
@@ -117,7 +215,7 @@ def test_non_finite_diffusion_is_rejected(mesh, bad):
 @pytest.mark.parametrize("mesh", [Mesh1D(4), Mesh2D(3)], ids=["1d", "2d"])
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_non_finite_forcing_is_rejected(mesh, bad):
-    # The pathwise solve skips scipy's finiteness scan, so the forcing is checked first.
+    # The pathwise solve skips the banded solver's finiteness scan, so the forcing is checked first.
     f_q = np.ones(len(mesh.quad_points))
     f_q[2] = bad
     with pytest.raises(ValueError, match="forcing is not finite"):
@@ -172,6 +270,17 @@ class TestFem2D:
             errors.append(math.sqrt(float(sq_err)))
         assert errors[0] / errors[1] == pytest.approx(2.0, rel=0.25)
         assert errors[1] / errors[2] == pytest.approx(2.0, rel=0.25)
+
+    def test_variable_coefficient_matches_dense_element_assembly(self):
+        # Independent oracle for the band scatter: a dense element-by-element
+        # Q1 assembly over all nodes, solved by numpy.
+        a = lambda p: 1.0 + p[:, 0] + 2.0 * p[:, 1] ** 2 + 0.5 * np.sin(7.0 * p[:, 0] * p[:, 1])
+        f = lambda p: 1.0 + np.cos(3.0 * p[:, 0]) * p[:, 1]
+        mesh = Mesh2D(5)
+        p = mesh.quad_points
+        solution = fem_pathwise(mesh, a(p), f(p))
+        expected = dense_q1_solve(5, a, f)
+        np.testing.assert_allclose(solution, expected, rtol=0.0, atol=1e-12 * np.max(np.abs(expected)))
 
     def test_exp2_sample_solves(self):
         model = field_model("exp2", 2)

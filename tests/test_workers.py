@@ -195,6 +195,41 @@ class TestPoolLifecycle:
             workers.run(slow_worker, 2)
         assert finished.is_set()
 
+    def test_a_pass_inside_a_part_runs_inline(self):
+        # Each part of a two-worker pass starts a three-part pass of its own:
+        # every nested part runs once, on the thread of the part that started it.
+        calls = []
+
+        def outer(worker):
+            thread = threading.get_ident()
+            workers.run(lambda inner: calls.append((worker, inner, threading.get_ident() == thread)), 3)
+
+        # Were the nested parts queued on the pool, whose threads the outer
+        # pass holds, the pass would never finish.
+        caller = threading.Thread(target=workers.run, args=(outer, 2), daemon=True)
+        caller.start()
+        caller.join(timeout=60)
+        assert not caller.is_alive(), "the nested pass did not finish"
+        assert sorted(calls) == [(w, i, True) for w in range(2) for i in range(3)]
+
+        def failing(worker):
+            def inner(part):
+                if worker == 1 and part == 1:
+                    raise LookupError("raised in nested part 1 of worker 1")
+                calls.append((worker, part))
+
+            workers.run(inner, 3)
+
+        calls.clear()
+        with pytest.raises(LookupError, match="nested part 1 of worker 1"):
+            workers.run(failing, 2)
+        assert sorted(calls) == [(0, 0), (0, 1), (0, 2), (1, 0)]
+
+    def test_a_pass_inside_a_one_worker_pass_uses_the_pool(self):
+        threads = []
+        workers.run(lambda _: workers.run(lambda inner: threads.append(threading.get_ident()), 2), 1)
+        assert len(set(threads)) == 2 and threading.get_ident() in threads
+
     def test_an_exception_in_a_block_reaches_the_caller(self, monkeypatch):
         monkeypatch.setattr(workers, "count", lambda: 2)
         monkeypatch.setattr(net_module, "_BLOCK_BYTES", 1)
