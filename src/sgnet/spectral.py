@@ -334,10 +334,14 @@ class GalerkinTensor:
     def from_triples(cls, dim: int, i, j, k, g) -> "GalerkinTensor":
         """Tensor with the entries G[i, j, k] = g, each ordered triple given once.
 
-        The triples must be sorted by (i, j), as ``np.nonzero`` lists them.
+        The triples must be sorted by (i, j), as ``np.nonzero`` lists them;
+        unsorted triples are refused.
         """
         code = np.asarray(i, dtype=np.int64) * dim + j
-        starts = np.flatnonzero(np.diff(code, prepend=-1))
+        step = np.diff(code, prepend=-1)
+        if (step < 0).any():
+            raise ValueError("triples are not sorted by (i, j)")
+        starts = np.flatnonzero(step)
         pair_code = code[starts]
         indptr = np.append(starts, code.size)
         return cls(dim, pair_code // dim, pair_code % dim, indptr, np.asarray(k), np.asarray(g, dtype=float))
@@ -433,35 +437,74 @@ def _univariate_triple_table(family: PolyFamily, max_degree: int) -> np.ndarray:
     return g
 
 
+def _rank_weights(n_dims: int, max_degree: int) -> np.ndarray:
+    """Flat table w with rank(nu) = sum_r w[r (P + 1) + s_r] in the graded lexicographic basis order.
+
+    s_r = nu_{N-1-r} + ... + nu_{N-1} sums the last r + 1 entries, so s_{N-1}
+    is the total degree.  Counting the multi-indices that precede nu gives
+    rank(nu) = C(|nu| + N, N) - 1 - sum_{r < N-1} C(s_r + r, r + 1).  No term
+    exceeds the basis size, so the integer sum is exact for every basis.
+    """
+    width = max_degree + 1
+    return np.array(
+        [-math.comb(s + r, r + 1) for r in range(n_dims - 1) for s in range(width)]
+        + [math.comb(s + n_dims, n_dims) - 1 for s in range(width)]
+    )
+
+
 def galerkin_tensor(basis: OrderedBasis) -> GalerkinTensor:
     """Triple products <p_i p_j, p_k> of all basis-polynomial pairs, nonzeros only.
 
-    A univariate factor <p_a p_b p_c> vanishes unless a + b + c is even and
-    |a - b| <= c <= a + b.  So for fixed i and j the nonzero entries have the
-    k of degrees |nu_i - nu_j| + 2 t <= nu_i + nu_j entrywise, with total
-    degree at most P (so |t| <= P / 2); they are enumerated for blocks of i,
-    and no size^3 array is formed.  Every entry is the product of its
-    univariate factors, multiplied in dimension order.
+    A univariate factor <p_a p_b p_c> vanishes unless c = |a - b| + 2 t for
+    some 0 <= t <= min(a, b).  So the pair (i, j) holds the k of degrees
+    |nu_i - nu_j| + 2 t for the half-steps t <= min(nu_i, nu_j) entrywise with
+    |nu_i - nu_j|_1 + 2 |t| <= P, and holds any exactly when
+    |nu_i - nu_j|_1 <= P.  The half-steps of total degree <= (P - d) / 2 are
+    the leading basis elements.  So, for blocks of rows i, the pairs within
+    distance d <= P are listed, each pair is joined with those leading
+    half-steps, and the ones not below min(nu_i, nu_j) are dropped; no size^3
+    array is formed.  The entries come out ordered by (i, j) and, within a
+    pair, by the basis order of t.  k is ranked in closed form by
+    :func:`_rank_weights`, and every entry is the product of its univariate
+    factors, multiplied in dimension order.
     """
-    deg = basis.index_array.astype(np.int32)
-    size = len(deg)
-    table = _univariate_triple_table(basis.family, basis.max_degree)
-    double_steps = 2 * deg[deg.sum(axis=1) <= basis.max_degree // 2]
-    # Rows i are taken in blocks whose (i, j, t, dim) candidate array stays near 2^20 entries.
-    block = max(1, 2**20 // (size * double_steps.size))
-    found = []
+    deg = np.array(basis.indices, dtype=np.int32).T.copy()  # one row per dimension
+    n_dims, size = deg.shape
+    P, width = basis.max_degree, basis.max_degree + 1
+    flat_table = _univariate_triple_table(basis.family, P).ravel()
+    steps = np.array([basis_dim(n_dims, (P - d) // 2) for d in range(width)])
+    half_steps = deg[:, : steps[0]]
+    weight = _rank_weights(n_dims, P)
+    offsets = np.arange(0, n_dims * width, width, dtype=np.int32)[:, None]
+    # Rows i are taken in blocks whose (dim, i, j) distance array stays near 2^20 entries.
+    block = max(1, 2**20 // (size * n_dims))
+    parts = []
     for start in range(0, size, block):
-        rows = deg[start : start + block, None, None, :]
-        k_deg = np.abs(rows - deg[:, None, :]) + double_steps
-        fits = np.all(k_deg <= rows + deg[:, None, :], axis=3) & (k_deg.sum(axis=3) <= basis.max_degree)
-        i, j, t = np.nonzero(fits)
-        found.append((i + start, j, k_deg[i, j, t]))
-    i, j, k_deg = (np.concatenate(column) for column in zip(*found))
-    # A reduction along the last axis multiplies in order: dimension 0 first.
-    g = np.multiply.reduce(table[deg[i], deg[j], k_deg], axis=1)
-    position = {nu: n for n, nu in enumerate(basis.indices)}
-    k = np.array([position[nu] for nu in map(tuple, k_deg.tolist())], dtype=np.int64)
-    return GalerkinTensor.from_triples(size, i, j, k, g)
+        gaps = deg[:, start : start + block, None] - deg[:, None, :]
+        dist = np.abs(gaps, out=gaps).sum(axis=0, dtype=np.int32)
+        near = dist <= P
+        i, j = np.nonzero(near)
+        i += start
+        # Candidates: each pair `owner` with its leading steps[dist] half-steps t.
+        counts = steps[dist[near]]
+        owner = np.repeat(np.arange(i.size), counts)
+        t = np.arange(owner.size) - np.repeat(np.cumsum(counts) - counts, counts)
+        deg_i, deg_j = np.take(deg, i, axis=1), np.take(deg, j, axis=1)
+        low = np.repeat(np.minimum(deg_i, deg_j), counts, axis=1)
+        keep = (np.take(half_steps, t, axis=1) <= low).all(axis=0)
+        owner, t = owner[keep], t[keep]
+        k_deg = np.take(np.abs(deg_i - deg_j), owner, axis=1) + 2 * np.take(half_steps, t, axis=1)
+        # Flat table indices (a (P + 1) + b) (P + 1) + c, in int64: they pass 2^31 beyond P = 1289.
+        cell = np.take((deg_i * width + deg_j) * np.int64(width), owner, axis=1) + k_deg
+        # A reduction along the first axis multiplies in order: dimension 0 first.
+        g = np.multiply.reduce(np.take(flat_table, cell), axis=0)
+        # Row r of the cumulative sum from the last dimension is the s_r of _rank_weights.
+        k = np.take(weight, np.cumsum(k_deg[::-1], axis=0, dtype=np.int32) + offsets).sum(axis=0)
+        parts.append((i, j, np.bincount(owner, minlength=i.size), k, g))
+    pair_i, pair_j, counts, k, g = (np.concatenate(column) for column in zip(*parts))
+    indptr = np.zeros(pair_i.size + 1, dtype=np.int64)
+    np.cumsum(counts, out=indptr[1:])
+    return GalerkinTensor(size, pair_i, pair_j, indptr, k, g)
 
 
 _TENSOR_MAGIC = b"SGGT"

@@ -152,6 +152,38 @@ def dense_triple_tensor(index_array: np.ndarray, family: str) -> np.ndarray:
     return dense
 
 
+def candidate_filter_tensor(index_array: np.ndarray, max_degree: int, table: np.ndarray):
+    """Stored arrays ``(pair_i, pair_j, indptr, k, g)`` of the triple-product tensor, by filtering candidates.
+
+    For every (i, j) and every half-step t of total degree <= P / 2, in basis
+    order, the candidate k has degrees |nu_i - nu_j| + 2 t; it is kept when
+    that is at most nu_i + nu_j entrywise and of total degree at most P.  The
+    candidates are filtered in blocks of rows i, so the entries come out
+    sorted by (i, j, t).  ``table`` holds the univariate triple products; each
+    entry multiplies its factors in dimension order, and k is ranked by a
+    dictionary of the multi-indices.
+    """
+    deg = np.asarray(index_array).astype(np.int32)
+    size = len(deg)
+    double_steps = 2 * deg[deg.sum(axis=1) <= max_degree // 2]
+    block = max(1, 2**20 // (size * double_steps.size))
+    found = []
+    for start in range(0, size, block):
+        rows = deg[start : start + block, None, None, :]
+        k_deg = np.abs(rows - deg[:, None, :]) + double_steps
+        fits = np.all(k_deg <= rows + deg[:, None, :], axis=3) & (k_deg.sum(axis=3) <= max_degree)
+        i, j, t = np.nonzero(fits)
+        found.append((i + start, j, k_deg[i, j, t]))
+    i, j, k_deg = (np.concatenate(column) for column in zip(*found))
+    g = np.multiply.reduce(table[deg[i], deg[j], k_deg], axis=1)
+    position = {tuple(nu): n for n, nu in enumerate(np.asarray(index_array).tolist())}
+    k = np.array([position[nu] for nu in map(tuple, k_deg.tolist())], dtype=np.int64)
+    code = i.astype(np.int64) * size + j
+    starts = np.flatnonzero(np.diff(code, prepend=-1))
+    pair_code = code[starts]
+    return pair_code // size, pair_code % size, np.append(starts, code.size), k, g
+
+
 def dense_contract(dense: np.ndarray, coeff: np.ndarray, u: np.ndarray) -> np.ndarray:
     """out[n, k] = sum_ij G_ijk coeff[n, i] u[n, j] by a plain einsum over the dense G."""
     return np.einsum("ijk,ni,nj->nk", dense, coeff, u)

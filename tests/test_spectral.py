@@ -31,6 +31,7 @@ from sgnet.spectral import (
 )
 
 from oracles import (
+    candidate_filter_tensor,
     eval_tensor_poly,
     graded_lex_less,
     hermite_triple_analytic,
@@ -317,11 +318,64 @@ class TestGalerkinTensor:
         stored_bytes = sum(v.nbytes for v in (tensor.pair_i, tensor.pair_j, tensor.indptr, tensor.k, tensor.g))
         assert stored_bytes < 32e6
 
-    @pytest.mark.parametrize("n_dims,max_degree", [(1, 0), (1, 10), (2, 6), (3, 7), (5, 2), (6, 4), (8, 1)])
+    @pytest.mark.parametrize(
+        "n_dims,max_degree", [(1, 0), (1, 10), (2, 6), (3, 7), (5, 2), (6, 4), (8, 1), (10, 4), (6, 6), (4, 8)]
+    )
     def test_stored_bytes_are_counted_without_building(self, n_dims, max_degree):
         tensor = galerkin_tensor(total_degree_basis(n_dims, max_degree, PolyFamily.HERMITE))
         stored = sum(v.nbytes for v in (tensor.pair_i, tensor.pair_j, tensor.indptr, tensor.k, tensor.g))
         assert galerkin_nbytes(n_dims, max_degree, 64)[0] == stored
+
+    @pytest.mark.parametrize(
+        "n_dims,max_degree,family",
+        [
+            (1, 10, PolyFamily.HERMITE),
+            (8, 1, PolyFamily.LEGENDRE),
+            (2, 5, PolyFamily.LEGENDRE),
+            (3, 7, PolyFamily.HERMITE),
+            (6, 4, PolyFamily.HERMITE),
+            (4, 8, PolyFamily.LEGENDRE),
+            (70, 1, PolyFamily.LEGENDRE),
+        ],
+    )
+    def test_stored_layout_matches_candidate_filter(self, n_dims, max_degree, family):
+        # The dense view cannot see the order of the entries within a pair,
+        # which the CSR row sums of coupling_matrices follow; compare the
+        # stored arrays themselves, dtypes included.  At N=70, P=1 a
+        # mixed-radix int64 key of the multi-indices would overflow.
+        basis = total_degree_basis(n_dims, max_degree, family)
+        tensor = galerkin_tensor(basis)
+        oracle = candidate_filter_tensor(basis.index_array, max_degree, _univariate_triple_table(family, max_degree))
+        for name, expected in zip(("pair_i", "pair_j", "indptr", "k", "g"), oracle):
+            stored = getattr(tensor, name)
+            assert stored.dtype == expected.dtype, name
+            assert stored.shape == expected.shape, name
+            assert stored.tobytes() == expected.tobytes(), name
+
+    def test_build_memory_is_bounded(self):
+        # N=10, P=4 (K=1001): 12.6 MB of stored arrays.  All (i, j, t, dim)
+        # candidates at once would take 2.6 GB; the builder's blocks of rows
+        # keep its transients (measured 2.6x the stored bytes) well inside 4x.
+        basis = total_degree_basis(10, 4, PolyFamily.HERMITE)
+        tracemalloc.start()
+        try:
+            tensor = galerkin_tensor(basis)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        stored = sum(v.nbytes for v in (tensor.pair_i, tensor.pair_j, tensor.indptr, tensor.k, tensor.g))
+        assert 12e6 < stored < 13e6
+        assert peak < 4 * stored
+
+    def test_unsorted_triples_are_refused(self):
+        # Shuffled triples would split pairs into repeated rows, and
+        # coupling_matrices would keep only the last of them.
+        i, j, k, g = galerkin_tensor(total_degree_basis(2, 2, PolyFamily.HERMITE)).triples()
+        order = np.random.default_rng(0).permutation(g.size)
+        with pytest.raises(ValueError, match="sorted"):
+            GalerkinTensor.from_triples(6, i[order], j[order], k[order], g[order])
+        rebuilt = GalerkinTensor.from_triples(6, i, j, k, g)
+        assert rebuilt.pair_i.size == 30
 
     def test_dense_view_is_refused_beyond_physical_memory(self):
         tensor = GalerkinTensor.from_triples(2**20, [0], [0], [0], [1.0])
