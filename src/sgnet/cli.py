@@ -134,8 +134,11 @@ class ExperimentConfig:
             raise ConfigError("sweep ranges must be non-empty")
         if any(n < 1 for n in self.n_values) or any(p < 0 for p in self.p_values):
             raise ConfigError("N must be positive and P non-negative")
-        if self.experiment == "exp1" and self.n_values != (1,):
-            raise ConfigError("exp1 is driven by a single variable; N must be 1")
+        for n_vars in self.n_values:  # the field model owns its rules on N
+            try:
+                field_model(self.experiment, n_vars)
+            except ValueError as exc:
+                raise ConfigError(str(exc)) from exc
         if self.experiment == "exp2" and self.p_values != (1,):
             raise ConfigError("exp2 resolves the coefficient at degree one; P must be 1")
         if self.weighting not in ("none", "a_min_inv"):
@@ -310,9 +313,6 @@ def run(config: ExperimentConfig, echo=print) -> int:
                     basis = total_degree_basis(n_vars, degree, model.family)
                     tensor = galerkin_tensor(basis)
                     train_field = make_spectral_field(model, basis, weighting=config.weighting)
-                    plain_field = (
-                        train_field if config.weighting == "none" else make_spectral_field(model, basis)
-                    )
                     grid, ref_eval = _reference(config, model, basis, tensor, train_field)
                     trained, surrogates = {}, {}
                     diverged = None
@@ -328,7 +328,6 @@ def run(config: ExperimentConfig, echo=print) -> int:
                                 train_field,
                                 tensor,
                                 config.train,
-                                validation_field=plain_field,
                                 history_path=out_dir / f"history_{tag}.csv",
                                 checkpoint_dir=(
                                     out_dir / f"checkpoints_{tag}"

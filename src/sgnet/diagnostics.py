@@ -114,7 +114,7 @@ def _check_lognormal_factors() -> str:
     from .fields import _exponential_factor_table
 
     sigmas = np.linspace(0.1, 3.0, 12)
-    table = _exponential_factor_table(sigmas, 10, None)
+    table = _exponential_factor_table(sigmas, 10)
     for sigma, row in zip(sigmas, table):
         for n in range(11):
             closed = math.exp(0.5 * sigma * sigma) * sigma**n / math.sqrt(math.factorial(n))

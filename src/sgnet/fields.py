@@ -27,7 +27,6 @@ import numpy as np
 from .spectral import (
     OrderedBasis,
     PolyFamily,
-    QuadratureRule,
     kink_split_normal_rule,
     univariate_table,
 )
@@ -129,12 +128,11 @@ def kl_sigma_grad(x: np.ndarray, n_terms: int) -> np.ndarray:
     return out
 
 
-def exp1_forcing_coeffs(max_degree: int, rule: QuadratureRule | None = None) -> np.ndarray:
+def exp1_forcing_coeffs(max_degree: int) -> np.ndarray:
     """Hermite coefficients of ``|y - 1|``, computed with the kink-split rule."""
     if max_degree < 0:
         raise ValueError("max_degree must be non-negative")
-    if rule is None:
-        rule = kink_split_normal_rule(kinks=(1.0,))
+    rule = kink_split_normal_rule(kinks=(1.0,))
     table = univariate_table(PolyFamily.HERMITE, max_degree, rule.nodes)
     integrand = np.abs(rule.nodes - 1.0) * rule.weights
     return integrand @ table
@@ -206,21 +204,21 @@ def _moment_factor_dsigma(sigma: np.ndarray, degree: int) -> np.ndarray:
     return np.exp(0.5 * sigma * sigma) * (sigma ** (degree + 1) + lower) * scale
 
 
-def _exponential_factor_table(
-    sigma: np.ndarray, max_degree: int, rule: QuadratureRule | None, tilt: float = 0.0
-) -> np.ndarray:
+def _exponential_factor_table(sigma: np.ndarray, max_degree: int, tilt: float = 0.0) -> np.ndarray:
     """Factors int exp(sigma y + tilt |y|) h_n(y) dN(0,1)(y) for n <= max_degree.
 
     Without a tilt every factor is the exact closed form of
-    :func:`_moment_factor` and ``rule`` is not read.  The tilted integrand has
-    no elementary closed form and is integrated with ``rule``.  ``sigma`` may
-    be any shape; the result appends one axis of length ``max_degree + 1``.
+    :func:`_moment_factor`.  The tilted integrand has no elementary closed
+    form and is integrated with the normal rule split at the kink y = 0.
+    ``sigma`` may be any shape; the result appends one axis of length
+    ``max_degree + 1``.
     """
     sigma = np.asarray(sigma, dtype=float)
     if not np.all(np.isfinite(sigma)):
         raise ValueError("non-finite field amplitude")
     if tilt == 0.0:
         return np.stack([_moment_factor(sigma, n) for n in range(max_degree + 1)], axis=-1)
+    rule = kink_split_normal_rule(kinks=(0.0,))
     table = univariate_table(PolyFamily.HERMITE, max_degree, rule.nodes)
     weighted = table * rule.weights[:, None]
     kernel = np.exp(sigma[..., None] * rule.nodes + tilt * np.abs(rule.nodes))
@@ -289,6 +287,8 @@ def field_model(kind: str, n_vars: int) -> FieldModel:
     if kind == "exp2":
         return FieldModel(kind, n_vars, 2, PolyFamily.LEGENDRE)
     if kind == "exp3":
+        if n_vars > KL_INDEX_CAP + 1:
+            raise ValueError(f"exp3 has KL modes 0 to {KL_INDEX_CAP}; N must be at most {KL_INDEX_CAP + 1}")
         return FieldModel(kind, n_vars, 1, PolyFamily.HERMITE)
     raise ValueError(f"unknown field model {kind!r}")
 
@@ -405,9 +405,8 @@ class SpectralField:
             row[0] = 1.0
         else:
             # f / a_min with f = 1: per-mode integrals of exp(c |y|) h_n(y).
-            rule = kink_split_normal_rule(kinks=(0.0,))
             factors = _exponential_factor_table(
-                np.zeros(self.model.n_vars), self.basis.max_degree, rule, tilt=self._weight_tilt()
+                np.zeros(self.model.n_vars), self.basis.max_degree, tilt=self._weight_tilt()
             )
             index_array = self.basis.index_array
             row = np.ones(self.size)
@@ -417,8 +416,7 @@ class SpectralField:
 
     def _exp3_products(self, x: np.ndarray, tilt: float) -> np.ndarray:
         sigma = kl_sigma(x, self.model.n_vars)
-        rule = kink_split_normal_rule(kinks=(0.0,)) if tilt else None
-        factors = _exponential_factor_table(sigma, self.basis.max_degree, rule, tilt=tilt)
+        factors = _exponential_factor_table(sigma, self.basis.max_degree, tilt=tilt)
         index_array = self.basis.index_array
         out = np.ones((x.size, self.size))
         for dim in range(self.model.n_vars):
@@ -432,7 +430,7 @@ class SpectralField:
         sigma = kl_sigma(x, n_vars)
         dsigma = kl_sigma_grad(x, n_vars)
         max_degree = self.basis.max_degree
-        values = _exponential_factor_table(sigma, max_degree, None)
+        values = _exponential_factor_table(sigma, max_degree)
         derivs = np.empty((x.size, n_vars, max_degree + 1))
         for degree in range(max_degree + 1):
             derivs[:, :, degree] = _moment_factor_dsigma(sigma, degree) * dsigma

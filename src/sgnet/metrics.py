@@ -49,7 +49,6 @@ class SpatialGrid:
 
     points: np.ndarray  # (L, d)
     weights: np.ndarray  # (L,)
-    label: str
 
     @property
     def dim(self) -> int:
@@ -66,19 +65,19 @@ def _trapezoid_weights(axis: np.ndarray) -> np.ndarray:
 
 def uniform_grid_1d(n_points: int = 257) -> SpatialGrid:
     axis = np.linspace(0.0, 1.0, n_points)
-    return SpatialGrid(axis[:, None], _trapezoid_weights(axis), f"uniform:{n_points}")
+    return SpatialGrid(axis[:, None], _trapezoid_weights(axis))
 
 
 def midpoint_grid(mesh: Mesh1D | Mesh2D) -> SpatialGrid:
     """Element midpoints of a mesh, where FEM gradients are single-valued."""
     if isinstance(mesh, Mesh1D):
         axis = mesh.midpoints
-        return SpatialGrid(axis[:, None], _trapezoid_weights(axis), f"midpoints:{mesh.n_elem}")
+        return SpatialGrid(axis[:, None], _trapezoid_weights(axis))
     axis = mesh.centers1d
     w = _trapezoid_weights(axis)
     xx, yy = np.meshgrid(axis, axis, indexing="ij")
     points = np.stack([xx.ravel(), yy.ravel()], axis=1)
-    return SpatialGrid(points, np.outer(w, w).ravel(), f"midpoints:{mesh.n}x{mesh.n}")
+    return SpatialGrid(points, np.outer(w, w).ravel())
 
 
 @dataclass(frozen=True)
@@ -91,8 +90,6 @@ class ErrorReport:
     rel_error: float
     numerator: float
     denominator: float
-    n_mc: int
-    grid: str
     mc_standard_error: float
 
 
@@ -105,9 +102,7 @@ def _h1_terms(value: np.ndarray, grad: np.ndarray, w: np.ndarray) -> np.ndarray:
     return total @ w
 
 
-def _report(
-    numerator_terms: np.ndarray, denominator_terms: np.ndarray, grid: SpatialGrid
-) -> ErrorReport:
+def _report(numerator_terms: np.ndarray, denominator_terms: np.ndarray) -> ErrorReport:
     n_mc = numerator_terms.size
     numerator = float(np.mean(numerator_terms))
     denominator = float(np.mean(denominator_terms))
@@ -117,7 +112,7 @@ def _report(
         # Linearization of sqrt(mean N / mean D) about the sample means.
         z = (numerator_terms - rel * rel * denominator_terms) / (2.0 * rel * denominator)
         std_err = float(np.std(z, ddof=1) / np.sqrt(n_mc))
-    return ErrorReport(rel, numerator, denominator, n_mc, grid.label, std_err)
+    return ErrorReport(rel, numerator, denominator, std_err)
 
 
 def rel_h1_error(
@@ -162,7 +157,7 @@ def rel_h1_error(
     workers.run(measure, n_workers)
     if np.mean(denominator_terms) <= 0.0:
         raise ValueError("degenerate reference: zero H1 norm")
-    return {name: _report(terms, denominator_terms, grid) for name, terms in numerator_terms.items()}
+    return {name: _report(terms, denominator_terms) for name, terms in numerator_terms.items()}
 
 
 # -- evaluators ---------------------------------------------------------------------

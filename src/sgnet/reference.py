@@ -56,18 +56,22 @@ class Mesh1D:
     def midpoints(self) -> np.ndarray:
         return (np.arange(self.n_elem) + 0.5) * self.h
 
-    @cached_property
-    def _quadrature(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Two Gauss points per element, their Lebesgue weights and the hat value t there.
+    def _element_rule(self, n_points: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``n_points`` Gauss points per element, their Lebesgue weights and the hat value t there.
 
-        Shapes (n_elem, 2), (1, 2) and (n_elem, 2); ``t`` is the right hat
-        function of the element, ``1 - t`` the left one.
+        Shapes (n_elem, n_points), (1, n_points) and (n_elem, n_points); ``t``
+        is the right hat function of the element, ``1 - t`` the left one.
         """
-        rule = gauss_rule(PolyFamily.LEGENDRE, 2)
+        rule = gauss_rule(PolyFamily.LEGENDRE, n_points)
         left = self.nodes[:-1]
         qp = left[:, None] + (0.5 * rule.nodes + 0.5)[None, :] * self.h
         qw = rule.weights[None, :] * self.h
         return qp, qw, (qp - left[:, None]) / self.h
+
+    @cached_property
+    def _quadrature(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The two-point element rule of every pathwise solve, built once per mesh."""
+        return self._element_rule(2)
 
     @cached_property
     def quad_points(self) -> np.ndarray:
@@ -289,16 +293,12 @@ def assemble_coupled_system(
     """
     size = field_.size
     h = mesh.h
-    rule = gauss_rule(PolyFamily.LEGENDRE, 3)
-    left = mesh.nodes[:-1]
-    qp = left[:, None] + (0.5 * rule.nodes + 0.5)[None, :] * h
-    qw = rule.weights[None, :] * h
+    qp, qw, t = mesh._element_rule(3)
 
-    a_vals = field_.coeff_values(qp.reshape(-1, 1)).reshape(mesh.n_elem, rule.nodes.size, size)
-    f_vals = field_.forcing_values(qp.reshape(-1, 1)).reshape(mesh.n_elem, rule.nodes.size, size)
+    a_vals = field_.coeff_values(qp.reshape(-1, 1)).reshape(*qp.shape, size)
+    f_vals = field_.forcing_values(qp.reshape(-1, 1)).reshape(*qp.shape, size)
     # Element integrals of A_jk = sum_i a_i G_ijk and of f_k against the two hat functions.
     a_blocks = tensor.coupling_matrices(np.einsum("eqi,eq->ei", a_vals, qw))
-    t = (qp - left[:, None]) / h
     f_left = np.einsum("eqk,eq,eq->ek", f_vals, 1.0 - t, qw)
     f_right = np.einsum("eqk,eq,eq->ek", f_vals, t, qw)
 

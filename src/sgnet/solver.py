@@ -11,6 +11,7 @@ at the minimum.
 from __future__ import annotations
 
 import csv
+import math
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -21,7 +22,7 @@ from scipy.stats import qmc
 
 from .fields import SpectralField, draw_samples
 from .net import MultiBranchNet
-from .spectral import GalerkinTensor, OrderedBasis, basis_matrix
+from .spectral import GalerkinTensor, basis_matrix
 
 __all__ = [
     "AdamState",
@@ -110,29 +111,24 @@ def ritz_risk(
 
 # -- validation ------------------------------------------------------------------
 
+# Realizations whose basis values one validation block holds.
+_VALIDATION_CHUNK = 2_000
 
-def validation_error(
-    net: MultiBranchNet,
-    field_: SpectralField,
-    basis: OrderedBasis,
-    n_samples: int = 10_000,
-    x_grid: np.ndarray | None = None,
-    seed: int = 0,
-    chunk: int = 2_000,
-) -> float:
+
+def validation_error(net: MultiBranchNet, field_: SpectralField, n_samples: int = 10_000, seed: int = 0) -> float:
     """Mean squared pathwise strong residual over sampled realizations.
 
     The diffusion, forcing and network approximation are reconstructed from
     their spectral coefficients at every sampled realization, and the strong
-    residual of the original PDE is averaged in squares over samples and grid
-    points.  The field must be unweighted: the residual is that of the
-    original equation regardless of how the network was trained.
+    residual of the original PDE is averaged in squares over samples and the
+    points of :func:`default_validation_grid`.  The field must be unweighted:
+    the residual is that of the original equation regardless of how the
+    network was trained.
     """
     if field_.weighting != "none":
         raise ValueError("validation uses the unweighted expansion")
-    if x_grid is None:
-        x_grid = default_validation_grid(field_.spatial_dim)
-    x_grid = np.atleast_2d(np.asarray(x_grid, dtype=float))
+    basis = field_.basis
+    x_grid = default_validation_grid(field_.spatial_dim)
     _, u_grads, u_laps = net.evaluate_grid(x_grid, order=2)
     a_values = field_.coeff_values(x_grid)
     a_grads = field_.coeff_grads(x_grid)
@@ -140,8 +136,8 @@ def validation_error(
     rng = np.random.default_rng(seed)
     samples = draw_samples(basis.family, basis.n_dims, n_samples, rng)
     total = 0.0
-    for start in range(0, n_samples, chunk):
-        block = samples[start : start + chunk]
+    for start in range(0, n_samples, _VALIDATION_CHUNK):
+        block = samples[start : start + _VALIDATION_CHUNK]
         p_matrix = basis_matrix(basis, block)
         # a u_lap + f, built in place: the net's tape stays alive for the next
         # training step, so the block keeps few temporaries of its own.
@@ -280,8 +276,12 @@ class TrainConfig:
                 continue
             if isinstance(value, bool) or not isinstance(value, int) or value < least:
                 raise ValueError(f"{name} must be an integer of at least {least}")
-        if not (self.risk_threshold is None or isinstance(self.risk_threshold, (int, float))):
-            raise ValueError("risk_threshold must be a number or None")
+        for name in ("lr0", "lr_decay", "risk_threshold"):  # risk_threshold may also be None (no threshold)
+            value = getattr(self, name)
+            if value is None and name == "risk_threshold":
+                continue
+            if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+                raise ValueError(f"{name} must be a finite number")
         if self.lr0 <= 0 or not 0.0 < self.lr_decay <= 1.0:
             raise ValueError("learning rate must be positive with decay factor in (0, 1]")
         if self.seed_sobol < 1:  # the skip of a stream that never emits its origin point
@@ -332,7 +332,6 @@ def train(
     field_: SpectralField,
     tensor: GalerkinTensor,
     config: TrainConfig,
-    validation_field: SpectralField | None = None,
     history_path: str | Path | None = None,
     checkpoint_dir: str | Path | None = None,
 ) -> TrainResult:
@@ -342,22 +341,20 @@ def train(
     best risk has not improved for ``patience`` epochs.  The Ritz loss has no
     interpretable risk scale, so it stops only when both the best risk and the
     best validation residual have been stale for ``patience`` epochs; the
-    validation residual is evaluated every ``validation_interval`` epochs.
+    validation residual is evaluated every ``validation_interval`` epochs, on
+    the unweighted expansion of the field even when training uses the
+    weighted one.
     """
     if loss_kind not in ("strong", "ritz"):
         raise ValueError(f"unknown loss kind {loss_kind!r}")
     loss_fn = strong_risk if loss_kind == "strong" else ritz_risk
     dim = field_.spatial_dim
-    if validation_field is None:
-        validation_field = field_
-    if loss_kind == "ritz" and validation_field.weighting != "none":
-        raise ValueError("ritz training needs an unweighted field for validation")
+    validation_field = field_ if field_.weighting == "none" else SpectralField(field_.model, field_.basis)
 
     stream = SobolStream(dim, skip=config.seed_sobol)
     state = AdamState.zeros(net.n_params)
     theta = net.params_flat()
     lo, hi = np.zeros(dim), np.ones(dim)
-    grid = default_validation_grid(dim)
 
     if history_path is not None:
         history_path = Path(history_path)
@@ -396,12 +393,7 @@ def train(
         validation = float("nan")
         if loss_kind == "ritz" and epoch % config.validation_interval == 0:
             validation = validation_error(
-                net,
-                validation_field,
-                field_.basis,
-                n_samples=config.validation_samples,
-                x_grid=grid,
-                seed=config.seed_validation,
+                net, validation_field, n_samples=config.validation_samples, seed=config.seed_validation
             )
 
         row = {

@@ -161,25 +161,26 @@ def _gauss_legendre_unit(n: int) -> tuple[np.ndarray, np.ndarray]:
     return rule.nodes, 2.0 * rule.weights
 
 
-def kink_split_normal_rule(
-    kinks: Sequence[float] = (),
-    radius: float = 12.0,
-    panel_width: float = 0.25,
-    nodes_per_panel: int = 24,
-) -> QuadratureRule:
-    """Composite Gauss rule against the standard normal measure on [-radius, radius].
+# Truncation radius, panel width and Gauss nodes per panel of the kink-split normal rule.
+_KINK_RADIUS = 12.0
+_PANEL_WIDTH = 0.25
+_PANEL_NODES = 24
+
+
+def kink_split_normal_rule(kinks: Sequence[float] = ()) -> QuadratureRule:
+    """Composite Gauss rule against the standard normal measure on [-12, 12].
 
     The interval is split at the given kink locations so that integrands that
     are only piecewise smooth (e.g. with an absolute value) are integrated
     panel by panel where they are analytic.  The normal tail beyond the
-    truncation radius carries mass below 1e-30 for the default radius.
+    truncation radius carries mass below 1e-30.
     """
-    breaks = sorted({-radius, radius, *(float(c) for c in kinks if -radius < c < radius)})
-    base_nodes, base_weights = _gauss_legendre_unit(nodes_per_panel)
+    breaks = sorted({-_KINK_RADIUS, _KINK_RADIUS, *(float(c) for c in kinks if abs(c) < _KINK_RADIUS)})
+    base_nodes, base_weights = _gauss_legendre_unit(_PANEL_NODES)
     nodes: list[np.ndarray] = []
     weights: list[np.ndarray] = []
     for lo, hi in zip(breaks[:-1], breaks[1:]):
-        n_panels = max(1, int(math.ceil((hi - lo) / panel_width)))
+        n_panels = max(1, int(math.ceil((hi - lo) / _PANEL_WIDTH)))
         edges = np.linspace(lo, hi, n_panels + 1)
         for a, b in zip(edges[:-1], edges[1:]):
             half = 0.5 * (b - a)

@@ -257,6 +257,13 @@ class TestRunner:
             {"train": {"validation_samples": 0}},
             {"train": {"checkpoint_interval": 0}},
             {"train": {"risk_threshold": "abc"}},
+            {"train": {"risk_threshold": True}},
+            {"train": {"risk_threshold": float("nan")}},
+            {"train": {"lr0": float("nan")}},
+            {"train": {"lr0": float("inf")}},
+            {"train": {"lr_decay": True}},
+            {"N": 2},
+            {"experiment": "exp3", "N": 62, "metric": {"n_mc": 60}},
             {"train": {"seed_sobol": 3}},
             {"net": {"width": [8]}},
             {"net": {"activations": ["swish"]}},
@@ -268,8 +275,9 @@ class TestRunner:
             "mesh-analytic", "grid-fem", "grid-coupled", "grid-default-fem",
             "seed-text", "seed-float", "seed-negative", "sobol-zero",
             "batch-float", "steps-float", "count-bool", "validation-zero", "checkpoint-zero",
-            "threshold-text", "train-seed", "net-unknown", "net-activations-alone", "out_dir-int",
-            "output_scale",
+            "threshold-text", "threshold-bool", "threshold-nan", "lr0-nan", "lr0-inf", "decay-bool",
+            "exp1-two-vars", "exp3-past-kl-cap", "train-seed", "net-unknown", "net-activations-alone",
+            "out_dir-int", "output_scale",
         ],
     )
     def test_bad_metric_or_seed_fails_before_any_output(self, tmp_path, capsys, overrides):

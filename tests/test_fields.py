@@ -20,7 +20,7 @@ from sgnet.fields import (
     make_spectral_field,
     pathwise_sampler,
 )
-from sgnet.spectral import PolyFamily, basis_matrix, gauss_rule, total_degree_basis
+from sgnet.spectral import PolyFamily, basis_matrix, total_degree_basis
 
 from oracles import (
     central_diff,
@@ -206,15 +206,13 @@ class TestExp3Coefficients:
         # relative bound: the small-sigma, high-degree factors are far below approx's default abs.
         from sgnet.fields import _exponential_factor_table
 
-        rule = gauss_rule(PolyFamily.HERMITE, 40)
-        table = _exponential_factor_table(np.array([sigma]), n, rule)
+        table = _exponential_factor_table(np.array([sigma]), n)
         assert table[0, n] == pytest.approx(lognormal_factor_closed(sigma, n), rel=1e-10, abs=0)
 
     def test_zero_amplitude_gives_unit_mass(self):
         from sgnet.fields import _exponential_factor_table
 
-        rule = gauss_rule(PolyFamily.HERMITE, 40)
-        table = _exponential_factor_table(np.array([0.0]), 3, rule)
+        table = _exponential_factor_table(np.array([0.0]), 3)
         assert table[0, 0] == pytest.approx(1.0, abs=1e-14)
         np.testing.assert_allclose(table[0, 1:], 0.0, atol=1e-14)
 

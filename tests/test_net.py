@@ -519,9 +519,9 @@ class TestEvaluateGrid:
         basis = total_degree_basis(2, 1, PolyFamily.LEGENDRE)
         field = make_spectral_field(field_model("exp2", 2), basis)
         net = small_net(seed=5, d=2, branches=basis.size)
-        expected = validation_error(net, field, basis, n_samples=50, seed=1)
+        expected = validation_error(net, field, n_samples=50, seed=1)
         monkeypatch.setattr(net_module, "_GRID_CHUNK", 100)
-        assert validation_error(net, field, basis, n_samples=50, seed=1) == expected
+        assert validation_error(net, field, n_samples=50, seed=1) == expected
 
     def test_no_points_are_refused(self):
         net = small_net(seed=2)

@@ -270,7 +270,7 @@ class TestValidationError:
         basis, _, field, tensor = exp1_setup(max_degree)
         forcing = exp1_forcing_coeffs(max_degree)
         net = exp1_exact_net(forcing)
-        value = validation_error(net, field, basis, n_samples=500, seed=0)
+        value = validation_error(net, field, n_samples=500, seed=0)
         assert value <= 1e-18
 
     def test_zero_net_matches_parseval(self):
@@ -281,7 +281,7 @@ class TestValidationError:
         net = MultiBranchNet(spec, n_branches=basis.size, seed=0)
         net.set_params_flat(np.zeros(net.n_params))
         n_samples = 20_000
-        value = validation_error(net, field, basis, n_samples=n_samples, seed=7)
+        value = validation_error(net, field, n_samples=n_samples, seed=7)
         # The residual of the zero net is fbar(y)^2 whose mean is sum f_k^2;
         # bound the deviation by three standard errors of the sample mean.
         rng = np.random.default_rng(7)
@@ -296,8 +296,8 @@ class TestValidationError:
         basis, _, field, tensor = exp1_setup(3)
         spec = BranchSpec(1, (5,), ("swish", "linear"))
         net = MultiBranchNet(spec, n_branches=basis.size, seed=4)
-        a = validation_error(net, field, basis, n_samples=300, seed=11)
-        b = validation_error(net, field, basis, n_samples=300, seed=11)
+        a = validation_error(net, field, n_samples=300, seed=11)
+        b = validation_error(net, field, n_samples=300, seed=11)
         assert a == b
 
     def test_weighted_field_rejected(self):
@@ -308,7 +308,7 @@ class TestValidationError:
         spec = BranchSpec(1, (4,), ("swish", "linear"))
         net = MultiBranchNet(spec, n_branches=basis.size, seed=0)
         with pytest.raises(ValueError):
-            validation_error(net, weighted, basis, n_samples=10)
+            validation_error(net, weighted, n_samples=10)
 
 
 class TestSobol:
@@ -505,6 +505,20 @@ class TestTraining:
         train(net, "strong", field, tensor, config, checkpoint_dir=tmp_path)
         assert (tmp_path / "epoch_000002.npz").exists()
         assert (tmp_path / "epoch_000004.npz").exists()
+
+    def test_weighted_ritz_run_validates_on_the_unweighted_field(self):
+        # The weighted expansion trains the Ritz energy, but the validation
+        # residual is that of the original equation: the unweighted field.
+        model = field_model("exp3", 1)
+        basis = total_degree_basis(1, 2, PolyFamily.HERMITE)
+        weighted = make_spectral_field(model, basis, weighting="a_min_inv")
+        net = self.make_net(basis, seed=3)
+        config = self.small_config(steps_per_epoch=1, max_epochs=1, validation_interval=1, seed_validation=4)
+        result = train(net, "ritz", weighted, galerkin_tensor(basis), config)
+        plain = make_spectral_field(model, basis)
+        expected = validation_error(net, plain, n_samples=config.validation_samples, seed=4)
+        assert np.isfinite(expected)
+        assert result.history[0]["validation"] == expected
 
     def test_unknown_loss_kind(self):
         basis, _, field, tensor = exp1_setup(1)
