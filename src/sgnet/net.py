@@ -15,23 +15,27 @@ requires activation derivatives up to third order.
 For speed, the value rows and the per-direction Jacobian and Hessian rows of
 a batch are stacked into a single matrix per layer, so each linear layer is
 one batched matrix product.  Each net reuses one tape: the evaluation writes
-every layer and the activation derivatives into it, the reverse pass
-overwrites it with the cotangents and hands it back, so a training step
-allocates only its outputs.  An evaluation of another (points, order) shape
-lays its tape out in the same buffer when it fits.  A record is pulled back
-once.
+every pre-activation, the value rows of every activation's output and the
+activation derivatives into it; the reverse pass rebuilds the Jacobian and
+Hessian rows of a layer's input from these by the forward's own ufuncs,
+overwrites the tape with the cotangents and hands it back, so a training
+step allocates only its outputs.  An evaluation of another (points, order)
+shape lays its tape out in the same buffer when it fits.  A record is pulled
+back once.
 
 Both passes run branch block by branch block: every layer of one block of
 branches is evaluated (or pulled back) before the next block starts, so a
 block's layers are still in cache when the next layer reads them.  A block
 is as many branches as fit ``_BLOCK_BYTES`` of tape, and at least one; it is
-a contiguous slice of every tape array, and only the scratch arrays are
-sized by the block instead of the net.  :meth:`MultiBranchNet.evaluate_grid`
-evaluates large point sets in chunks on one chunk-sized tape.
+a contiguous slice of every tape array, and only the scratch arrays and the
+layer operand are sized by the block instead of the net.
+:meth:`MultiBranchNet.evaluate_grid` evaluates large point sets in chunks on
+one chunk-sized tape.
 
-The blocks of a pass are shared out over the workers of :mod:`sgnet.workers`
-(one per CPU), each with its own scratch arrays in the tape.  Branches share
-no parameters, so no two blocks write the same output, and a block does the
+Each worker of :mod:`sgnet.workers` (one per CPU) runs one contiguous run of
+the blocks, with its own scratch arrays and layer operand in the tape, and
+the workers' branch counts differ by at most one.  Branches share no
+parameters, so no two blocks write the same output, and a block does the
 same arithmetic on any worker: results do not depend on the worker count.
 The enforcer's product rule before and after the blocks runs in the caller.
 """
@@ -144,6 +148,20 @@ def _derivative_rows(n: int, d: int, order: int) -> tuple[list[slice], list[slic
     return blocks[:d], blocks[d:]
 
 
+def _output_rows(Z: np.ndarray, derivs, S: np.ndarray, J, H, scratch: np.ndarray) -> None:
+    """Write the Jacobian rows d1 z_J and Hessian rows z_J z_J d2 + d1 z_H of an activation's output ``S``.
+
+    The forward pass and the reverse pass's rebuild of a layer input both
+    call this, so the rows come out the same bit for bit.
+    """
+    for rows in J:
+        np.multiply(derivs[0], Z[:, rows], out=S[:, rows])
+    for j, rows in enumerate(H):
+        target = np.multiply(Z[:, J[j]], Z[:, J[j]], out=S[:, rows])
+        target *= derivs[1]
+        target += np.multiply(derivs[0], Z[:, rows], out=scratch)
+
+
 # Tape bytes of one block of branches.  On a 2 MB-L2 Xeon with one BLAS thread,
 # 8 MB (blocks of 2-3 branches) took a 210-branch 5x45 step at 256 points a
 # third less time than one whole-net block; 4 and 12 MB were close, 16 MB and
@@ -158,25 +176,31 @@ _BLOCK_BYTES = 8 << 20
 _GRID_CHUNK = 256
 
 
+def _activation_widths(spec: BranchSpec) -> list[int]:
+    """Widths of the layers with an activation."""
+    return [w for w, kind in zip(spec.layer_dims[1:], spec.activations) if kind != "linear"]
+
+
 def _branch_words(spec: BranchSpec, n_points: int, order: int) -> tuple[int, int]:
-    """Tape words of one branch's layers, and of its share of one worker's scratch arrays."""
+    """Tape words of one branch's layers, and of its share of one worker's scratch arrays and operand."""
     rows = n_points * (1 + spec.input_dim * order)
-    hidden = [w for w, kind in zip(spec.layer_dims[1:], spec.activations) if kind != "linear"]
-    layers = rows * sum(spec.layer_dims) + (rows + order * n_points) * sum(hidden)
-    return layers, 3 * n_points * max(hidden, default=0)
+    hidden = _activation_widths(spec)
+    layers = rows * sum(spec.layer_dims) + (1 + order) * n_points * sum(hidden)
+    return layers, (3 * n_points + rows) * max(hidden, default=0)
 
 
 def _layout(spec: BranchSpec, n_branches: int, n_points: int, order: int) -> tuple[int, int]:
-    """Branches per block (as many as fit ``_BLOCK_BYTES`` of tape, and at least one) and workers of a pass.
-
-    A pass has one worker per CPU, and at most one per block.
-    """
+    """Branches per block (as many as fit ``_BLOCK_BYTES`` of tape, and at least one) and workers of a pass."""
     block = min(n_branches, max(1, _BLOCK_BYTES // (8 * sum(_branch_words(spec, n_points, order)))))
-    return block, min(workers.count(), -(-n_branches // block))
+    return block, len(workers.shares(n_branches, block))
 
 
 def scratch_nbytes(spec: BranchSpec, n_branches: int, n_points: int, order: int) -> int:
-    """Bytes of the tape's scratch arrays: three per worker, spanning the widest hidden layer of a block."""
+    """Bytes of the tape's per-worker arrays, each spanning the widest activation of a block.
+
+    A worker has three scratch arrays over the value rows and one layer
+    operand over all derivative rows.
+    """
     block, n_workers = _layout(spec, n_branches, n_points, order)
     return 8 * n_workers * block * _branch_words(spec, n_points, order)[1]
 
@@ -184,9 +208,11 @@ def scratch_nbytes(spec: BranchSpec, n_branches: int, n_points: int, order: int)
 def tape_nbytes(spec: BranchSpec, n_branches: int, n_points: int, order: int) -> int:
     """Bytes of the reusable tape of one evaluation of ``n_points`` points at ``order``.
 
-    Every layer keeps its input and pre-activation over all derivative rows,
-    and every hidden layer ``order`` stored activation derivatives over the
-    value rows; the rest is the workers' scratch (:func:`scratch_nbytes`).
+    Every layer keeps its pre-activation over all derivative rows, as the
+    net's input is kept.  A layer with an activation keeps the value rows of
+    its output and ``order`` activation derivatives over them; the reverse
+    pass rebuilds the output's derivative rows from these and the
+    pre-activation.  The rest is the workers' arrays (:func:`scratch_nbytes`).
     """
     layers = _branch_words(spec, n_points, order)[0]
     return 8 * n_branches * layers + scratch_nbytes(spec, n_branches, n_points, order)
@@ -195,24 +221,31 @@ def tape_nbytes(spec: BranchSpec, n_branches: int, n_points: int, order: int) ->
 class _Tape:
     """Workspace of one (n_points, order) evaluation, reused across calls of that shape.
 
-    ``S[i]`` is the input of layer i and ``S[-1]`` the output; a linear layer's
-    output is its pre-activation ``Z[i]``.  ``D[i]`` holds the activation
-    derivatives 1..order+1 (the last one in the value rows of ``Z[i]``).
-    ``blocks`` slices the leading branch axis of these arrays into blocks,
-    and worker w runs the blocks ``blocks[w::workers]`` with its own scratch:
-    ``scratch[w][i]`` holds three arrays of the value rows' shape for one
-    block.  The reverse pass overwrites ``Z[i]`` with its cotangent and
-    ``S[i]`` with that of layer i's input.  Every array is a view of ``buf``,
+    ``Z[i]`` is the pre-activation of layer i over all derivative rows, and
+    ``S[i]`` what the tape keeps of layer i's input: all its rows for the
+    net's input and for a linear layer's output (which is ``Z[i - 1]``; so
+    ``S[-1]`` is the net's output), only the value rows of an activation's
+    output.  ``D[i]`` holds the activation derivatives 1..order+1 (the last
+    one in the value rows of ``Z[i]``); the Jacobian and Hessian rows of an
+    activation's output are exact functions of ``Z[i]`` and ``D[i]``
+    (:func:`_output_rows`).  ``shares[w]`` lists the blocks of branches
+    (slices of the leading branch axis of these arrays) that worker w of
+    ``workers`` runs with its own ``operand[w]``, which holds a layer input of
+    one block over all rows, and ``scratch[w][i]``, three arrays of the value
+    rows' shape for one block.  The reverse pass overwrites ``Z[i]`` with its cotangent and
+    takes the cotangent of an activation's output in ``operand[w]`` (that of
+    a linear layer's output in its ``Z``).  Every array is a view of ``buf``,
     which is allocated here unless a buffer at least ``tape_nbytes`` long is
     given.
     """
 
-    __slots__ = ("key", "buf", "blocks", "workers", "S", "Z", "D", "scratch")
+    __slots__ = ("key", "buf", "shares", "workers", "S", "Z", "D", "operand", "scratch")
 
     def __init__(self, spec: BranchSpec, K: int, n: int, order: int, buf: np.ndarray | None = None) -> None:
-        B, self.workers = _layout(spec, K, n, order)
+        B = _layout(spec, K, n, order)[0]
+        self.shares = workers.shares(K, B)
+        self.workers = len(self.shares)
         self.key = (n, order, self.workers)
-        self.blocks = [slice(k0, k0 + B) for k0 in range(0, K, B)]
         d, rows = spec.input_dim, n * (1 + spec.input_dim * order)
         words = tape_nbytes(spec, K, n, order) // 8
         self.buf = buf = np.empty(words) if buf is None else buf
@@ -227,12 +260,14 @@ class _Tape:
         self.S[0][:, n:] = 0.0  # constant derivative rows of the input block
         for j, block in enumerate(_derivative_rows(n, d, order)[0]):
             self.S[0][:, block, j] = 1.0
-        flat = [[take(B * _branch_words(spec, n, order)[1] // 3) for _ in range(3)] for _ in range(self.workers)]
+        width = max(_activation_widths(spec), default=0)
+        self.operand = [take(B * rows * width) for _ in self.shares]
+        flat = [[take(B * n * width) for _ in range(3)] for _ in self.shares]
         self.Z, self.D, self.scratch = [], [], [[] for _ in flat]
         for w, kind in zip(spec.layer_dims[1:], spec.activations):
             self.Z.append(take(K, rows, w))
             linear = kind == "linear"
-            self.S.append(self.Z[-1] if linear else take(K, rows, w))
+            self.S.append(self.Z[-1] if linear else take(K, n, w))
             self.D.append([] if linear else [take(K, n, w) for _ in range(order)] + [self.Z[-1][:, :n]])
             for own, arrays in zip(self.scratch, flat):
                 own.append([] if linear else [a[: B * n * w].reshape(B, n, w) for a in arrays])
@@ -332,22 +367,21 @@ class MultiBranchNet:
         J, H = _derivative_rows(n, d, order)
 
         def forward(worker: int) -> None:
-            for k in tape.blocks[worker :: tape.workers]:
+            for k in tape.shares[worker]:
+                S = tape.S[0][k]
                 for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-                    Z = np.matmul(tape.S[i][k], w[k].transpose(0, 2, 1), out=tape.Z[i][k])
+                    Z = np.matmul(S, w[k].transpose(0, 2, 1), out=tape.Z[i][k])
                     Z[:, :n] += b[k, None, :]
                     kind = self.spec.activations[i]
                     if kind == "linear":
+                        S = Z
                         continue
-                    S, derivs = tape.S[i + 1][k], [a[k] for a in tape.D[i]]
+                    # The next layer's input over all rows, in the worker's operand; the tape keeps its value rows.
+                    S, derivs = tape.operand[worker][: Z.size].reshape(Z.shape), [a[k] for a in tape.D[i]]
                     scratch = [a[: len(Z)] for a in tape.scratch[worker][i]]
                     _activation(kind, Z[:, :n], S[:, :n], derivs, scratch)
-                    for rows in J:
-                        np.multiply(derivs[0], Z[:, rows], out=S[:, rows])
-                    for j, rows in enumerate(H):
-                        target = np.multiply(Z[:, J[j]], Z[:, J[j]], out=S[:, rows])
-                        target *= derivs[1]
-                        target += np.multiply(derivs[0], Z[:, rows], out=scratch[0])
+                    np.copyto(tape.S[i + 1][k], S[:, :n])
+                    _output_rows(Z, derivs, S, J, H, scratch[0])
 
         workers.run(forward, tape.workers)
 
@@ -445,26 +479,27 @@ class MultiBranchNet:
                 dgN += 2.0 * ge[:, None, :] * d_lap[:, :, None]
         dlapN = e[:, None] * d_lap if d_lap is not None else None
 
-        Sb = tape.S[-1]
+        out_b = tape.S[-1]
         record._tape = None
         J, H = _derivative_rows(n, d, order)
-        Sb[:, :n, 0] = dN.T
+        out_b[:, :n, 0] = dN.T
         for j, rows in enumerate(J):
-            Sb[:, rows, 0] = dgN[:, :, j].T
+            out_b[:, rows, 0] = dgN[:, :, j].T
         for rows in H:
-            Sb[:, rows, 0] = 0.0 if dlapN is None else dlapN.T
+            out_b[:, rows, 0] = 0.0 if dlapN is None else dlapN.T
 
         grads = np.empty(self.n_params)
         ends = np.cumsum([a.size for pair in zip(self.weights, self.biases) for a in pair])
         grad_w = [grads[end - w.size : end].reshape(w.shape) for w, end in zip(self.weights, ends[::2])]
         grad_b = [grads[end - b.size : end].reshape(b.shape) for b, end in zip(self.biases, ends[1::2])]
         def backward(worker: int) -> None:
-            for k in tape.blocks[worker :: tape.workers]:
+            for k in tape.shares[worker]:
+                Sb = None  # cotangent of an activation's output, in the worker's operand
                 for i in reversed(range(len(self.weights))):
                     S_prev, Zb, derivs = tape.S[i][k], tape.Z[i][k], [a[k] for a in tape.D[i]]
                     if derivs:
                         # Zb overwrites Z block by block, once every term that reads the block is taken.
-                        Sb, d1 = tape.S[i + 1][k], derivs[0]
+                        d1 = derivs[0]
                         zb, u, v = [a[: len(Zb)] for a in tape.scratch[worker][i]]
                         np.multiply(Sb[:, :n], d1, out=zb)
                         for j, rows in enumerate(J):
@@ -481,10 +516,17 @@ class MultiBranchNet:
                             if order >= 2:
                                 jz += u  # jb d1 + 2 hb d2 jz
                         np.copyto(Zb[:, :n], zb)
+                    if i > 0 and tape.D[i - 1]:
+                        # Rebuild the input over all rows in the worker's operand, where Sb is read by now.
+                        Z_prev, kept = tape.Z[i - 1][k], S_prev
+                        S_prev = tape.operand[worker][: Z_prev.size].reshape(Z_prev.shape)
+                        np.copyto(S_prev[:, :n], kept)
+                        tmp = tape.scratch[worker][i - 1][0][: len(Zb)]
+                        _output_rows(Z_prev, [a[k] for a in tape.D[i - 1]], S_prev, J, H, tmp)
                     np.matmul(Zb.transpose(0, 2, 1), S_prev, out=grad_w[i][k])
                     np.sum(Zb[:, :n], axis=1, out=grad_b[i][k])
                     if i > 0:
-                        np.matmul(Zb, self.weights[i][k], out=S_prev)
+                        Sb = np.matmul(Zb, self.weights[i][k], out=S_prev)
 
         workers.run(backward, tape.workers)
         self._spare = tape

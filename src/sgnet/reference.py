@@ -304,16 +304,15 @@ def assemble_coupled_system(
 
     n_int = mesh.n_elem - 1
     inv_h2 = 1.0 / (h * h)
+    diagonal = (a_blocks[:-1] + a_blocks[1:]) * inv_h2
+    coupling = -a_blocks[1:-1] * inv_h2
     # Band column (node, j) holds column j of the node's diagonal block in rows
     # 2 size - 1 + i - j (i <= j) and column j of the block coupling it to the
     # previous node in rows size - 1 + i - j (all i).
     band = np.zeros((n_int, size, 2 * size)).transpose(2, 0, 1)  # column-major once flattened
-    upper_i, upper_j = np.triu_indices(size)
-    band[2 * size - 1 + upper_i - upper_j, :, upper_j] = (
-        (a_blocks[:-1] + a_blocks[1:])[:, upper_i, upper_j] * inv_h2
-    ).T
-    all_i, all_j = np.indices((size, size)).reshape(2, -1)
-    band[size - 1 + all_i - all_j, 1:, all_j] = (-a_blocks[1:-1][:, all_i, all_j] * inv_h2).T
+    for j in range(size):
+        band[2 * size - 1 - j :, :, j] = diagonal[:, : j + 1, j].T
+        band[size - 1 - j : 2 * size - 1 - j, 1:, j] = coupling[:, :, j].T
     load = (f_right[:-1] + f_left[1:]).reshape(n_int * size)
     return band.reshape(2 * size, n_int * size), load
 

@@ -294,7 +294,7 @@ def galerkin_nbytes(n_dims: int, max_degree: int, n_points: int) -> tuple[int, i
     """
     pairs, nnz = _tensor_counts(n_dims, max_degree)
     width = _range_points(pairs, n_points)
-    n_workers = min(workers.count(), -(-n_points // width))
+    n_workers = len(workers.shares(n_points, width))
     return 8 * (3 * pairs + 1 + 2 * nnz), 8 * n_workers * 2 * pairs * width
 
 
@@ -360,29 +360,28 @@ class GalerkinTensor:
     def contract(self, coeff: np.ndarray, u: np.ndarray) -> np.ndarray:
         """``out[n, k] = sum_ij G_ijk coeff[n, i] u[n, j]`` for arrays of shape (n, dim).
 
-        The points are taken in ranges of ``_RANGE_BYTES`` of products, and the
-        ranges are spread over the workers (:mod:`sgnet.workers`).  In each
-        range the products coeff_i u_j are formed once per stored pair, in
-        buffers of its worker, and summed into every k by one sparse matrix
-        product, which sums each point's column on its own; so every entry is
-        computed as in one pass over all points.
+        Each worker (:mod:`sgnet.workers`) takes an even share of the points,
+        in ranges of at most ``_RANGE_BYTES`` of products.  In each range the
+        products coeff_i u_j are formed once per stored pair, in buffers of
+        its worker, and summed into every k by one sparse matrix product,
+        which sums each point's column on its own; so every entry is computed
+        as in one pass over all points.
         """
         n, pairs = coeff.shape[0], self.pair_i.size
         width = _range_points(pairs, n)
-        ranges = [slice(start, min(start + width, n)) for start in range(0, n, width)]
-        n_workers = max(1, min(workers.count(), len(ranges)))
+        shares = workers.shares(n, width)
         coeff_t, u_t, by_pair_t = np.ascontiguousarray(coeff.T), np.ascontiguousarray(u.T), self._by_pair.T
         out = np.empty((self.dim, n))
 
         def products(worker: int) -> None:
             buffers = np.empty((2, pairs * width))
-            for points in ranges[worker::n_workers]:
+            for points in shares[worker]:
                 a, b = (buf[: pairs * (points.stop - points.start)].reshape(pairs, -1) for buf in buffers)
                 np.take(coeff_t[:, points], self.pair_i, axis=0, out=a, mode="clip")
                 np.multiply(a, np.take(u_t[:, points], self.pair_j, axis=0, out=b, mode="clip"), out=a)
                 out[:, points] = by_pair_t @ a
 
-        workers.run(products, n_workers)
+        workers.run(products, len(shares))
         return out.T
 
     def coupling_matrices(self, coeff: np.ndarray) -> np.ndarray:

@@ -5,8 +5,9 @@ triple-product contraction (:mod:`sgnet.spectral`) in ranges of points, the
 error metric's Monte Carlo pass (:mod:`sgnet.metrics`) in chunks of samples
 and the pathwise FEM reference in single samples; no two parts write the
 same output.  :func:`run` hands every worker its own share of the parts and
-its own scratch, and each part does the same arithmetic on whichever worker
-runs it, so results do not depend on the worker count.  numpy's ufuncs and
+its own scratch (:func:`shares` cuts even, contiguous shares of blocks and
+ranges), and each part does the same arithmetic on whichever worker runs it,
+so results do not depend on the worker count.  numpy's ufuncs and
 matrix products, scipy's sparse products and the reference's banded solves
 release the interpreter lock, so the workers' arithmetic overlaps.  A pass
 started inside a part of another pass runs its parts in order on that
@@ -35,6 +36,25 @@ def count() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1  # a platform without affinity masks
+
+
+def shares(n_items: int, most: int) -> list[list[slice]]:
+    """Each worker's share of ``range(n_items)``, cut into runs of at most ``most`` items.
+
+    A pass has one worker per CPU and at most one per run.  The shares are
+    contiguous and their lengths differ by at most one, and so do the
+    lengths of the runs within one share.
+    """
+
+    def even(start: int, stop: int, parts: int) -> list[slice]:
+        q, r = divmod(stop - start, parts)
+        cuts = [start + p * q + min(p, r) for p in range(parts + 1)]
+        return [slice(a, b) for a, b in zip(cuts, cuts[1:])]
+
+    if n_items < 1:
+        return []
+    own = even(0, n_items, min(count(), -(-n_items // most)))
+    return [even(s.start, s.stop, -(-(s.stop - s.start) // most)) for s in own]
 
 
 def _executor() -> ThreadPoolExecutor:

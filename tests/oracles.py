@@ -385,3 +385,27 @@ class ExactCoefficientNet:
         """Keep the cotangents a risk passes in ``cotangents``; there are no parameters."""
         self.cotangents = {"value": d_value, "grad": d_grad, "lap": d_lap}
         return np.zeros(0)
+
+
+def scattered_coupled_band(mesh, field_, tensor) -> np.ndarray:
+    """Upper band of the coupled stiffness matrix, filled by fancy-index scatters of every entry.
+
+    The element integrals are those of ``assemble_coupled_system``; the band
+    is written by one scatter of the upper triangles of the diagonal blocks
+    and one of the coupling blocks, each entry to its band row
+    2 (M + 1) - 1 + i - j, column (node, j).
+    """
+    size, h = field_.size, mesh.h
+    qp, qw, _ = mesh._element_rule(3)
+    a_vals = field_.coeff_values(qp.reshape(-1, 1)).reshape(*qp.shape, size)
+    a_blocks = tensor.coupling_matrices(np.einsum("eqi,eq->ei", a_vals, qw))
+    n_int = mesh.n_elem - 1
+    inv_h2 = 1.0 / (h * h)
+    band = np.zeros((n_int, size, 2 * size)).transpose(2, 0, 1)
+    upper_i, upper_j = np.triu_indices(size)
+    band[2 * size - 1 + upper_i - upper_j, :, upper_j] = (
+        (a_blocks[:-1] + a_blocks[1:])[:, upper_i, upper_j] * inv_h2
+    ).T
+    all_i, all_j = np.indices((size, size)).reshape(2, -1)
+    band[size - 1 + all_i - all_j, 1:, all_j] = (-a_blocks[1:-1][:, all_i, all_j] * inv_h2).T
+    return band.reshape(2 * size, n_int * size)

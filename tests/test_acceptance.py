@@ -15,37 +15,15 @@ from __future__ import annotations
 
 import math
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
-from sgnet.fields import (
-    exp1_forcing_coeffs,
-    field_model,
-    kl_sigma,
-    make_spectral_field,
-)
-from sgnet.metrics import (
-    coupled_evaluator,
-    exact_exp1_evaluator,
-    fem_evaluator,
-    midpoint_grid,
-    net_evaluator,
-    rel_h1_error,
-    uniform_grid_1d,
-)
+from sgnet.fields import exp1_forcing_coeffs, field_model, make_spectral_field
+from sgnet.metrics import exact_exp1_evaluator, net_evaluator, rel_h1_error, uniform_grid_1d
 from sgnet.net import BranchSpec, MultiBranchNet
-from sgnet.reference import Mesh1D, Mesh2D, sga_fem_coupled
-from sgnet.solver import (
-    SobolStream,
-    TrainConfig,
-    ritz_risk,
-    strong_risk,
-    train,
-    validation_error,
-)
+from sgnet.solver import SobolStream, TrainConfig, ritz_risk, train, validation_error
 from sgnet.spectral import (
     PolyFamily,
     basis_dim,
@@ -54,7 +32,6 @@ from sgnet.spectral import (
     galerkin_tensor,
     tensor_gauss_rule,
     total_degree_basis,
-    univariate_table,
 )
 
 from oracles import ExactCoefficientNet, hermite_triple_analytic, lognormal_factor_closed

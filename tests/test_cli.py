@@ -335,6 +335,25 @@ class TestRunner:
         monkeypatch.setattr(sgnet.cli, "physical_memory", lambda: needed)
         assert load_config(path).p_values == (4,)
 
+    def test_exp3_at_N11_P4_fits_a_9_gb_host(self, tmp_path, capsys, monkeypatch):
+        # exp3 at N=11, P=4 has 1,365 branches; one strong step at batch 512
+        # keeps a 7.6 GB tape (10.1 GB when every layer kept its output over
+        # all derivative rows), so it loads on a 9 GB host and is refused on
+        # a 7 GB one, for the tape alone.
+        train = {"batch_size": 512, "steps_per_epoch": 1, "max_epochs": 1}
+        path = write_config(
+            tmp_path / "c.yaml", experiment="exp3", N=11, P=4, net={}, train=train, metric={"n_mc": 60}
+        )
+        monkeypatch.setattr(sgnet.cli, "physical_memory", lambda: 9 * 10**9)
+        assert load_config(path).n_values == (11,)
+        monkeypatch.setattr(sgnet.cli, "physical_memory", lambda: 7 * 10**9)
+        assert main(["run", str(path)]) == EXIT_CONFIG
+        spec = BranchSpec(1, (45,) * 5, ("swish",) * 5 + ("linear",))
+        tape = tape_nbytes(spec, basis_dim(11, 4), 512, order=2)
+        err = capsys.readouterr().err
+        assert f"network tape of {tape / 1e9:.3g} GB" in err and "stored nonzeros" not in err
+        assert not (tmp_path / "out" / "results.csv").exists()
+
     def test_each_sample_reaches_the_reference_once(self, tmp_path, monkeypatch):
         # Both methods of an (N, P) entry are measured in one Monte Carlo pass:
         # the entry's reference sees every sample exactly once.

@@ -387,6 +387,32 @@ class TestTapeReuse:
         assert first[0] == second[0]
         np.testing.assert_array_equal(first[1], second[1])
 
+    def test_first_step_allocates_the_tape_and_its_outputs(self):
+        # A fresh net's first strong step allocates its tape, workers' arrays
+        # included, and no other layer-sized array: beside the tape and the
+        # parameter gradient, the risk's arrays at the points (the record's
+        # outputs, their cotangents, the field's coefficients, the
+        # contraction) stay under ten times the record's outputs (5.6 times
+        # measured at this shape).
+        basis = total_degree_basis(1, 3, PolyFamily.HERMITE)
+        field = make_spectral_field(field_model("exp3", 1), basis)
+        tensor = galerkin_tensor(basis)
+        spec = BranchSpec(1, (45,) * 5, ("swish",) * 5 + ("linear",))
+        net = MultiBranchNet(spec, n_branches=basis.size, seed=0)
+        n = 256
+        x = np.linspace(0.01, 0.99, n)[:, None]
+        tracemalloc.start()
+        try:
+            _, grad = strong_risk(x, net, field, tensor)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        outputs = 8 * n * basis.size * 3  # value, gradient and Laplacian of every branch
+        tape = tape_nbytes(spec, basis.size, n, order=2)
+        assert tape < peak <= tape + grad.nbytes + 10 * outputs
+        # One branch's widest layer over all rows is more than that slack.
+        assert 8 * 3 * n * 45 > 10 * outputs
+
 
 class TestTapeAcrossShapes:
     """An evaluation of another shape lays its tape out in the spare's buffer when it fits."""
@@ -477,6 +503,15 @@ class TestBranchBlocks:
         spec = small_net(d=d).spec
         # One-branch blocks, blocks of two (5 = 2 + 2 + 1) and one whole-net block.
         budgets = {1: 1, 2: tape_nbytes(spec, 2, n, order), K: 1 << 40}
+        # Branches per block of each worker, by worker count and block size.
+        shares = {
+            (1, 1): [[1, 1, 1, 1, 1]],
+            (1, 2): [[2, 2, 1]],
+            (1, K): [[5]],
+            (2, 1): [[1, 1, 1], [1, 1]],
+            (2, 2): [[2, 1], [2]],
+            (2, K): [[5]],
+        }
         results = {}
         for n_workers in (1, 2):
             monkeypatch.setattr(workers, "count", lambda: n_workers)
@@ -488,6 +523,13 @@ class TestBranchBlocks:
                     tape = record._tape
                     assert len(tape.scratch) == min(n_workers, -(-K // block))
                     assert tape.scratch[-1][0][0].shape[0] == block
+                    # Each worker runs one contiguous run of blocks, in branch
+                    # order; the workers' branch counts differ by at most one.
+                    blocks = [k for share in tape.shares for k in share]
+                    assert [k.start for k in blocks] == [0] + [k.stop for k in blocks[:-1]]
+                    assert blocks[-1].stop == K
+                    sizes = [[k.stop - k.start for k in share] for share in tape.shares]
+                    assert sizes == shares[n_workers, block]
                     assert tape.S[0].base.nbytes == tape_nbytes(spec, K, n, order)
                     grad = net.param_grad(record, **cotangents(record, 3, with_lap))
                     results[n_workers, block, with_lap] = record, grad
@@ -568,6 +610,19 @@ class TestPersistence:
             record = net.evaluate(expected[f"x{d}"], 2)
             for name in ("value", "grad", "laplacian"):
                 np.testing.assert_array_equal(getattr(record, name), expected[f"{name}{d}"])
+
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_frozen_version_1_checkpoint_pulls_back_bitwise(self, d, order):
+        # Parameter gradients of the same files at the same points, for the
+        # cotangents ``cotangents(record, 10 d + order)``, saved by an earlier
+        # version of this module: the reverse pass gives every bit again.
+        net = MultiBranchNet.load(DATA / f"checkpoint_v1_d{d}.npz")
+        with np.load(DATA / "checkpoint_v1_expected.npz") as points:
+            record = net.evaluate(points[f"x{d}"], order)
+        with np.load(DATA / "checkpoint_v1_param_grad.npz") as expected:
+            grad = net.param_grad(record, **cotangents(record, 10 * d + order))
+            np.testing.assert_array_equal(grad, expected[f"param_grad{d}_o{order}"])
 
 
 class TestEnforcers:

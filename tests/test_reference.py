@@ -9,7 +9,14 @@ import time
 import numpy as np
 import pytest
 import scipy.sparse.linalg
-from oracles import AffineField, dense_from_upper_band, dense_q1_solve, dense_triple_tensor, exp1_exact
+from oracles import (
+    AffineField,
+    dense_from_upper_band,
+    dense_q1_solve,
+    dense_triple_tensor,
+    exp1_exact,
+    scattered_coupled_band,
+)
 from scipy.linalg import solveh_banded
 
 from sgnet.fields import (
@@ -386,6 +393,30 @@ class TestCoupledSolver:
         band, _ = assemble_coupled_system(mesh, field, tensor)
         assert band.shape == (2 * size, n_dof)
         np.testing.assert_allclose(dense_from_upper_band(band), expected, rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize(
+        "n_dims, degree, family, n_elem",
+        [
+            pytest.param(2, 2, PolyFamily.HERMITE, 48, id="exp3-N2-P2"),
+            pytest.param(3, 2, PolyFamily.LEGENDRE, 12, id="legendre-N3-P2"),
+            pytest.param(6, 4, PolyFamily.HERMITE, 64, id="exp3-N6-P4"),
+            pytest.param(1, 0, PolyFamily.HERMITE, 8, id="one-coefficient"),
+        ],
+    )
+    def test_band_matches_the_scattered_band_bitwise(self, n_dims, degree, family, n_elem):
+        # The band is written column by column of each block; the oracle
+        # scatters every entry by fancy indexing from the same element integrals.
+        basis = total_degree_basis(n_dims, degree, family)
+        if family is PolyFamily.HERMITE:
+            field = make_spectral_field(field_model("exp3", n_dims), basis)
+        else:
+            field = AffineField(basis.size, 1, seed=degree)
+        tensor = galerkin_tensor(basis)
+        mesh = Mesh1D(n_elem)
+        band, _ = assemble_coupled_system(mesh, field, tensor)
+        expected = scattered_coupled_band(mesh, field, tensor)
+        assert band.shape == expected.shape
+        np.testing.assert_array_equal(band, expected)
 
     def test_negative_mean_coefficient_is_rejected(self):
         basis = total_degree_basis(2, 1, PolyFamily.HERMITE)

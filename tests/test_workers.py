@@ -272,6 +272,27 @@ class TestPoolLifecycle:
         assert reports is None
 
 
+class TestShares:
+    @pytest.mark.parametrize(
+        "n_workers, n_items, most, expected",
+        [
+            # exp3-sg's contraction: 256 points in ranges of at most 50.
+            pytest.param(2, 256, 50, [[43, 43, 42], [43, 43, 42]], id="exp3-contraction"),
+            # exp2-pathwise's Ritz tape: 9 branches in blocks of at most 3.
+            pytest.param(2, 9, 3, [[3, 2], [2, 2]], id="exp2-ritz-tape"),
+            pytest.param(1, 5, 2, [[2, 2, 1]], id="one-worker"),
+            pytest.param(2, 1, 8, [[1]], id="one-item"),
+            pytest.param(2, 0, 8, [], id="no-items"),
+        ],
+    )
+    def test_shares_are_even_contiguous_runs(self, monkeypatch, n_workers, n_items, most, expected):
+        monkeypatch.setattr(workers, "count", lambda: n_workers)
+        shares = workers.shares(n_items, most)
+        assert [[run.stop - run.start for run in share] for share in shares] == expected
+        runs = [run for share in shares for run in share]
+        assert [run.start for run in runs] + [n_items] == [0] + [run.stop for run in runs]
+
+
 class TestWorkerCountInvariance:
     """A process restricted to one CPU computes the two-worker results bit for bit.
 
