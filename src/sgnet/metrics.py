@@ -12,11 +12,15 @@ so an evaluator may be called from two threads at once: it must not change
 shared state while it evaluates.  It may start a pass of its own, which
 runs on the workers when the metric's pass has one chunk and inline in a
 chunk's thread otherwise.  The evaluators built here do all their set-up
-before they return.
+before they return.  Inside the pass they take their result arrays from the
+worker's arena, which the next chunk reuses, so such a result lasts until its
+chunk ends.
 """
 
 from __future__ import annotations
 
+import math
+import threading
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
@@ -93,12 +97,44 @@ class ErrorReport:
     mc_standard_error: float
 
 
+class _Arena:
+    """The arrays one chunk of a worker's Monte Carlo pass asks for, in order, reused by its next chunk.
+
+    Freed after every chunk, these multi-MB arrays would be handed back to the
+    system by malloc and faulted in again by the next chunk.
+    """
+
+    def __init__(self) -> None:
+        self.buffers: list[np.ndarray] = []
+        self.used = 0
+
+    def empty(self, shape: tuple[int, ...]) -> np.ndarray:
+        size = math.prod(shape)
+        if self.used == len(self.buffers):
+            self.buffers.append(np.empty(size))
+        elif self.buffers[self.used].size < size:
+            self.buffers[self.used] = np.empty(size)
+        self.used += 1
+        return self.buffers[self.used - 1][:size].reshape(shape)
+
+
+# Evaluators take the samples alone, so the pass hands its arena to them through the thread.
+_local = threading.local()
+
+
+def _empty(*shape: int) -> np.ndarray:
+    """An array for an evaluator's result; from the thread's arena while a Monte Carlo pass runs on it."""
+    arena = getattr(_local, "arena", None)
+    return np.empty(shape) if arena is None else arena.empty(shape)
+
+
 def _h1_terms(value: np.ndarray, grad: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Squared H1 norm of each realization, by the trapezoid rule on the grid."""
-    total = value * value
+    total = np.multiply(value, value, out=_empty(*value.shape))
+    square = _empty(*value.shape)
     for d in range(grad.shape[2]):
         g = grad[:, :, d]
-        total += g * g
+        total += np.multiply(g, g, out=square)
     return total @ w
 
 
@@ -145,14 +181,23 @@ def rel_h1_error(
     n_workers = max(1, min(workers.count(), len(starts)))
 
     def measure(worker: int) -> None:
-        for start in starts[worker::n_workers]:
-            block = samples[start : start + chunk]
-            rows = slice(start, start + block.shape[0])
-            u, du = reference(block)
-            denominator_terms[rows] = _h1_terms(u, du, w)
-            for name, surrogate in surrogates.items():
-                v, dv = surrogate(block)
-                numerator_terms[name][rows] = _h1_terms(u - v, du - dv, w)
+        _local.arena = arena = _Arena()
+        try:
+            for start in starts[worker::n_workers]:
+                block = samples[start : start + chunk]
+                rows = slice(start, start + block.shape[0])
+                arena.used = 0
+                u, du = reference(block)
+                kept = arena.used  # every surrogate reuses the arrays after the reference's
+                denominator_terms[rows] = _h1_terms(u, du, w)
+                for name, surrogate in surrogates.items():
+                    arena.used = kept
+                    v, dv = surrogate(block)
+                    v = np.subtract(u, v, out=_empty(*u.shape))
+                    dv = np.subtract(du, dv, out=_empty(*du.shape))
+                    numerator_terms[name][rows] = _h1_terms(v, dv, w)
+        finally:
+            del _local.arena
 
     workers.run(measure, n_workers)
     if np.mean(denominator_terms) <= 0.0:
@@ -171,7 +216,8 @@ def exact_exp1_evaluator(grid: SpatialGrid) -> PathwiseEvaluator:
 
     def evaluate(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         amp = 0.5 * np.abs(samples[:, 0] - 1.0)[:, None]
-        return amp * shape, (amp * slope)[:, :, None]
+        m, L = len(samples), len(x)
+        return np.multiply(amp, shape, out=_empty(m, L)), np.multiply(amp, slope, out=_empty(m, L))[:, :, None]
 
     return evaluate
 
@@ -189,7 +235,9 @@ def _spectral_reconstruction(
 
     def evaluate(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         p = basis_matrix(basis, samples)
-        return p @ values.T, np.matmul(p, by_direction).transpose(1, 2, 0)
+        m, L = len(samples), len(values)
+        value = np.matmul(p, values.T, out=_empty(m, L))
+        return value, np.matmul(p, by_direction, out=_empty(len(by_direction), m, L)).transpose(1, 2, 0)
 
     return evaluate
 
@@ -275,8 +323,8 @@ def fem_evaluator(
 
     def evaluate(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         m = samples.shape[0]
-        values = np.empty((m, grid.points.shape[0]))
-        grads = np.empty((m, grid.points.shape[0], grid.dim))
+        values = _empty(m, grid.points.shape[0])
+        grads = _empty(m, grid.points.shape[0], grid.dim)
         n_workers = max(1, min(workers.count(), m))
 
         def solve(worker: int) -> None:

@@ -42,8 +42,11 @@ The enforcer's product rule before and after the blocks runs in the caller.
 
 from __future__ import annotations
 
+import ctypes
 import json
 import math
+import mmap
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -218,6 +221,30 @@ def tape_nbytes(spec: BranchSpec, n_branches: int, n_points: int, order: int) ->
     return 8 * n_branches * layers + scratch_nbytes(spec, n_branches, n_points, order)
 
 
+# A tape buffer is an anonymous private mapping of its own, so the system gets
+# it back when the last view is dropped, whatever malloc's thresholds are by
+# then, and a forked child writes to its own copy.  As numpy does for its own
+# large buffers, it asks for transparent huge pages (unmapping 585 MB of 4 KB
+# pages takes 20 ms, of huge pages 2 ms) and is reported to tracemalloc in
+# numpy's domain.
+_NUMPY_TRACE_DOMAIN = 389047
+_trace_track, _trace_untrack = ctypes.pythonapi.PyTraceMalloc_Track, ctypes.pythonapi.PyTraceMalloc_Untrack
+_trace_track.argtypes, _trace_track.restype = (ctypes.c_uint, ctypes.c_size_t, ctypes.c_size_t), ctypes.c_int
+_trace_untrack.argtypes, _trace_untrack.restype = (ctypes.c_uint, ctypes.c_size_t), ctypes.c_int
+
+
+def _mapped_buffer(words: int) -> np.ndarray:
+    """``words`` float64 values in a mapping that is unmapped with the array's last view."""
+    region = mmap.mmap(-1, 8 * words, flags=mmap.MAP_PRIVATE)
+    if hasattr(mmap, "MADV_HUGEPAGE"):
+        region.madvise(mmap.MADV_HUGEPAGE)
+    buf = np.frombuffer(region, np.float64)
+    address = buf.ctypes.data
+    _trace_track(_NUMPY_TRACE_DOMAIN, address, buf.nbytes)
+    weakref.finalize(region, _trace_untrack, _NUMPY_TRACE_DOMAIN, address)
+    return buf
+
+
 class _Tape:
     """Workspace of one (n_points, order) evaluation, reused across calls of that shape.
 
@@ -235,8 +262,8 @@ class _Tape:
     rows' shape for one block.  The reverse pass overwrites ``Z[i]`` with its cotangent and
     takes the cotangent of an activation's output in ``operand[w]`` (that of
     a linear layer's output in its ``Z``).  Every array is a view of ``buf``,
-    which is allocated here unless a buffer at least ``tape_nbytes`` long is
-    given.
+    which is mapped here (:func:`_mapped_buffer`) unless a buffer at least
+    ``tape_nbytes`` long is given.
     """
 
     __slots__ = ("key", "buf", "shares", "workers", "S", "Z", "D", "operand", "scratch")
@@ -248,7 +275,7 @@ class _Tape:
         self.key = (n, order, self.workers)
         d, rows = spec.input_dim, n * (1 + spec.input_dim * order)
         words = tape_nbytes(spec, K, n, order) // 8
-        self.buf = buf = np.empty(words) if buf is None else buf
+        self.buf = buf = _mapped_buffer(words) if buf is None else buf
         offset = 0
 
         def take(*shape):

@@ -18,7 +18,6 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
-from scipy.stats import qmc
 
 from .fields import SpectralField, draw_samples
 from .net import MultiBranchNet
@@ -158,27 +157,64 @@ def default_validation_grid(spatial_dim: int) -> np.ndarray:
 # -- quasi-random sampling ---------------------------------------------------------
 
 
-class SobolStream:
-    """Continuous stream of unscrambled Sobol points in [0, 1)^d.
+# Sobol direction integers, 30 bits (Joe & Kuo, SIAM J. Sci. Comput. 30, 2008):
+# row b holds m_(b+1) 2^(29 - b) per dimension, with m_k = 1 in dimension 1 and,
+# from the primitive polynomial x + 1 with m_1 = 1, m_k = 2 m_(k-1) xor m_(k-1)
+# in dimension 2.
+_SOBOL_BITS = 30
 
-    The stream is deterministic given the initial skip.  A skip of 0 emits the
-    origin point of the sequence first; training streams skip at least one.
+
+def _sobol_directions() -> np.ndarray:
+    rows, m = [], 1
+    for b in range(_SOBOL_BITS):
+        rows.append((1 << (_SOBOL_BITS - 1 - b), m << (_SOBOL_BITS - 1 - b)))
+        m ^= m << 1
+    return np.array(rows, dtype=np.uint32)
+
+
+_SOBOL_DIRECTIONS = _sobol_directions()
+
+
+def _require_count(name: str, value: int, least: int) -> None:
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise ValueError(f"{name} must be an integer of at least {least}")
+
+
+class SobolStream:
+    """Continuous stream of unscrambled 30-bit Sobol points in [0, 1)^d, d = 1 or 2.
+
+    The stream is deterministic given the initial skip, and emits the points
+    of scipy's unscrambled ``qmc.Sobol`` fast-forwarded by ``skip``, at most
+    2^30 in all.  A skip of 0 emits the origin point of the sequence first;
+    training streams skip at least one.  Point m is the xor of the directions
+    picked out by the Gray code m xor (m >> 1) (Antonov & Saleev 1979), so a
+    batch starts anywhere in O(30) work and each later point xors in the
+    direction of its index's lowest set bit.
     """
 
     def __init__(self, dim: int, skip: int = 1) -> None:
-        if dim < 1:
-            raise ValueError("dimension must be positive")
-        if skip < 0:
-            raise ValueError("skip must be non-negative")
+        if isinstance(dim, bool) or not isinstance(dim, (int, np.integer)) or dim not in (1, 2):
+            raise ValueError("dimension must be 1 or 2")
+        _require_count("skip", skip, 0)
+        if skip > 2**_SOBOL_BITS:
+            raise ValueError(f"skip must be at most 2**{_SOBOL_BITS}")
         self.dim = dim
-        self._engine = qmc.Sobol(d=dim, scramble=False)
-        if skip:
-            self._engine.fast_forward(skip)
+        self._index = int(skip)  # index of the next point
 
     def next(self, n: int) -> np.ndarray:
-        if n < 1:
-            raise ValueError("batch size must be positive")
-        return self._engine.random(n)
+        _require_count("batch size", n, 1)
+        first = self._index
+        if first + n > 2**_SOBOL_BITS:
+            raise ValueError(f"at most 2**{_SOBOL_BITS} points can be drawn; {first} were skipped or drawn")
+        directions = _SOBOL_DIRECTIONS[:, : self.dim]
+        points = np.empty((n, self.dim), dtype=np.uint32)
+        gray = first ^ (first >> 1)
+        points[0] = np.bitwise_xor.reduce(directions[(gray >> np.arange(_SOBOL_BITS)) & 1 == 1], axis=0)
+        index = np.arange(first + 1, first + n, dtype=np.int64)
+        points[1:] = directions[np.frexp(index & -index)[1] - 1]  # the lowest set bit's position
+        np.bitwise_xor.accumulate(points, axis=0, out=points)
+        self._index = first + n
+        return points * 2.0**-_SOBOL_BITS
 
 
 def sobol_batch(stream: SobolStream, n: int, lo: Sequence[float], hi: Sequence[float]) -> np.ndarray:

@@ -476,31 +476,40 @@ def galerkin_tensor(basis: OrderedBasis) -> GalerkinTensor:
     half_steps = deg[:, : steps[0]]
     weight = _rank_weights(n_dims, P)
     offsets = np.arange(0, n_dims * width, width, dtype=np.int32)[:, None]
-    # Rows i are taken in blocks whose (dim, i, j) distance array stays near 2^20 entries.
-    block = max(1, 2**20 // (size * n_dims))
+    # Rows i are taken in blocks whose (dim, i, j) distance array stays near
+    # 2^20 entries, and their pairs in runs whose (dim, i, j, t) candidate
+    # arrays do too, by each pair's candidate count before the join.
+    block, run = max(1, 2**20 // (size * n_dims)), max(1, 2**20 // n_dims)
     parts = []
     for start in range(0, size, block):
         gaps = deg[:, start : start + block, None] - deg[:, None, :]
         dist = np.abs(gaps, out=gaps).sum(axis=0, dtype=np.int32)
         near = dist <= P
-        i, j = np.nonzero(near)
-        i += start
-        # Candidates: each pair `owner` with its leading steps[dist] half-steps t.
-        counts = steps[dist[near]]
-        owner = np.repeat(np.arange(i.size), counts)
-        t = np.arange(owner.size) - np.repeat(np.cumsum(counts) - counts, counts)
-        deg_i, deg_j = np.take(deg, i, axis=1), np.take(deg, j, axis=1)
-        low = np.repeat(np.minimum(deg_i, deg_j), counts, axis=1)
-        keep = (np.take(half_steps, t, axis=1) <= low).all(axis=0)
-        owner, t = owner[keep], t[keep]
-        k_deg = np.take(np.abs(deg_i - deg_j), owner, axis=1) + 2 * np.take(half_steps, t, axis=1)
-        # Flat table indices (a (P + 1) + b) (P + 1) + c, in int64: they pass 2^31 beyond P = 1289.
-        cell = np.take((deg_i * width + deg_j) * np.int64(width), owner, axis=1) + k_deg
-        # A reduction along the first axis multiplies in order: dimension 0 first.
-        g = np.multiply.reduce(np.take(flat_table, cell), axis=0)
-        # Row r of the cumulative sum from the last dimension is the s_r of _rank_weights.
-        k = np.take(weight, np.cumsum(k_deg[::-1], axis=0, dtype=np.int32) + offsets).sum(axis=0)
-        parts.append((i, j, np.bincount(owner, minlength=i.size), k, g))
+        rows, cols = np.nonzero(near)
+        rows += start
+        # Each pair's candidates: the pair with its leading steps[dist] half-steps t.
+        pair_counts = steps[dist[near]]
+        del gaps, dist, near
+        ends = np.cumsum(pair_counts)
+        first = 0
+        while first < rows.size:
+            last = max(first + 1, int(np.searchsorted(ends, ends[first] - pair_counts[first] + run, "right")))
+            i, j, counts = rows[first:last], cols[first:last], pair_counts[first:last]
+            first = last
+            owner = np.repeat(np.arange(i.size), counts)
+            t = np.arange(owner.size) - np.repeat(np.cumsum(counts) - counts, counts)
+            deg_i, deg_j = np.take(deg, i, axis=1), np.take(deg, j, axis=1)
+            low = np.repeat(np.minimum(deg_i, deg_j), counts, axis=1)
+            keep = (np.take(half_steps, t, axis=1) <= low).all(axis=0)
+            owner, t = owner[keep], t[keep]
+            k_deg = np.take(np.abs(deg_i - deg_j), owner, axis=1) + 2 * np.take(half_steps, t, axis=1)
+            # Flat table indices (a (P + 1) + b) (P + 1) + c, in int64: they pass 2^31 beyond P = 1289.
+            cell = np.take((deg_i * width + deg_j) * np.int64(width), owner, axis=1) + k_deg
+            # A reduction along the first axis multiplies in order: dimension 0 first.
+            g = np.multiply.reduce(np.take(flat_table, cell), axis=0)
+            # Row r of the cumulative sum from the last dimension is the s_r of _rank_weights.
+            k = np.take(weight, np.cumsum(k_deg[::-1], axis=0, dtype=np.int32) + offsets).sum(axis=0)
+            parts.append((i, j, np.bincount(owner, minlength=i.size), k, g))
     pair_i, pair_j, counts, k, g = (np.concatenate(column) for column in zip(*parts))
     indptr = np.zeros(pair_i.size + 1, dtype=np.int64)
     np.cumsum(counts, out=indptr[1:])

@@ -1,15 +1,27 @@
 """Independent oracles shared by the test modules.
 
 Everything here is deliberately implemented from first principles (dense
-trapezoid quadrature, closed forms, naive recurrences, finite differences) so
-the values it produces do not depend on the code paths under test.
+trapezoid quadrature, closed forms, naive recurrences, finite differences) or
+taken from an independent library (scipy's Sobol engine), so the values it
+produces do not depend on the code paths under test.  :func:`python` runs a
+script in a fresh interpreter.
 """
 
 from __future__ import annotations
 
+import copy
+import functools
 import math
+import os
+import subprocess
+import sys
+import textwrap
+import warnings
+from pathlib import Path
 
 import numpy as np
+
+import sgnet
 
 
 def norm_pdf(x: float) -> float:
@@ -221,6 +233,41 @@ def central_diff_vec(fn, x: np.ndarray, step: float = 1e-5) -> np.ndarray:
 
 def second_diff(fn, x: float, step: float = 1e-4) -> float:
     return (fn(x + step) - 2.0 * fn(x) + fn(x - step)) / (step * step)
+
+
+@functools.lru_cache(maxsize=None)
+def _scipy_sobol_engine(dim: int, skip: int):
+    from scipy.stats import qmc
+
+    engine = qmc.Sobol(d=dim, scramble=False)
+    if skip:
+        engine.fast_forward(skip)  # one step per skipped point: seconds at 2^30
+    return engine
+
+
+def scipy_sobol(dim: int, skip: int):
+    """``draw(n)``: the next n points of scipy's unscrambled Sobol engine fast-forwarded by ``skip``.
+
+    A draw that would pass the engine's 2^30 points raises ValueError.
+    """
+    engine = copy.deepcopy(_scipy_sobol_engine(dim, skip))
+
+    def draw(n: int) -> np.ndarray:
+        with warnings.catch_warnings():
+            # Draws from the start of the sequence warn about balance properties.
+            warnings.simplefilter("ignore", UserWarning)
+            return engine.random(n)
+
+    return draw
+
+
+def python(script: str) -> subprocess.CompletedProcess:
+    """Run ``script`` in a fresh interpreter that imports this checkout's sgnet and these oracles."""
+    paths = [str(Path(sgnet.__file__).parents[1]), str(Path(__file__).parent)]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+    return subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(script)], env=env, capture_output=True, text=True, timeout=300
+    )
 
 
 def star_discrepancy_1d(points: np.ndarray) -> float:

@@ -214,6 +214,32 @@ class TestRelH1Error:
             alone = rel_h1_error(reference, {name: surrogate}, grid, model, n_mc=700, seed=9, chunk=256)
             assert joint[name] == alone[name]
 
+    def test_chunks_reuse_the_evaluators_result_arrays(self, monkeypatch):
+        # Inside the pass the built-in evaluators write into the worker's
+        # arena, so every chunk after the first reuses the first one's arrays
+        # instead of asking malloc for new ones; outside it they return new
+        # arrays.
+        model = field_model("exp1", 1)
+        grid = uniform_grid_1d(65)
+        reference = exact_exp1_evaluator(grid)
+        surrogate = net_evaluator(truncated_exact_net(2), total_degree_basis(1, 2, PolyFamily.HERMITE), grid)
+        addresses = {"u": set(), "v": set()}
+
+        def recording(name, evaluate):
+            def wrapped(samples):
+                value, grad = evaluate(samples)
+                addresses[name].add((value.ctypes.data, grad.ctypes.data))
+                return value, grad
+
+            return wrapped
+
+        monkeypatch.setattr(workers, "count", lambda: 1)
+        surrogates = {"v": recording("v", surrogate)}
+        rel_h1_error(recording("u", reference), surrogates, grid, model, n_mc=640, seed=5, chunk=64)
+        assert len(addresses["u"]) == len(addresses["v"]) == 1
+        samples = np.zeros((4, 1))
+        assert not np.shares_memory(reference(samples)[0], reference(samples)[0])
+
     def test_more_workers_than_cpus_fill_every_row(self, monkeypatch):
         # Workers write the rows of their own chunks into shared arrays: with
         # more workers than CPUs, switching threads every microsecond, the

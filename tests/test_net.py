@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -24,6 +25,8 @@ from sgnet.net import (
 from sgnet.reference import Mesh1D, Mesh2D
 from sgnet.solver import TrainConfig, strong_risk, train, validation_error
 from sgnet.spectral import PolyFamily, galerkin_tensor, total_degree_basis
+
+from oracles import python
 
 DATA = Path(__file__).parent / "data"
 
@@ -490,6 +493,36 @@ class TestTapeAcrossShapes:
         assert result.epochs == 10
         assert len(buffers) == 20
         assert len({id(buffer) for buffer in buffers}) <= 2
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/statm")
+    def test_a_released_tape_returns_its_memory(self):
+        # Freeing a 30 MB heap buffer raises glibc's mmap threshold to 30 MB,
+        # so a 20 MB buffer allocated after it would come from the heap and
+        # stay resident when freed; a tape's own mapping is unmapped instead.
+        done = python(
+            """
+            import os
+            import numpy as np
+            from sgnet.net import BranchSpec, MultiBranchNet, tape_nbytes
+
+            def resident():
+                with open("/proc/self/statm") as handle:
+                    return int(handle.read().split()[1]) * os.sysconf("SC_PAGE_SIZE")
+
+            spec = BranchSpec(1, (32, 32), ("swish", "swish", "linear"))
+            net = MultiBranchNet(spec, n_branches=4, seed=0)
+            sizes = []
+            for n in (1930, 1290):
+                sizes.append(tape_nbytes(spec, 4, n, order=2))
+                before = resident()
+                net.evaluate(np.linspace(0.01, 0.99, n)[:, None], order=2)  # the record and its tape are dropped
+            print(*sizes, resident() - before)
+            """
+        )
+        assert done.returncode == 0, done.stderr
+        first, second, kept = map(int, done.stdout.split())
+        assert 29e6 < first < 31e6 and 19e6 < second < 21e6
+        assert kept < 4e6
 
 
 class TestBranchBlocks:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,6 +30,8 @@ from oracles import (
     ExactCoefficientNet,
     dense_contract,
     dense_triple_tensor,
+    python,
+    scipy_sobol,
     star_discrepancy_1d,
 )
 
@@ -354,6 +357,87 @@ class TestSobol:
         # The seed is the stream's skip, and the origin point is never drawn.
         with pytest.raises(ValueError):
             TrainConfig(seed_sobol=0)
+
+
+class TestSobolStreamAgainstScipy:
+    """sgnet's own Sobol stream gives scipy's unscrambled points, bit for bit, and refuses what scipy cannot draw."""
+
+    SKIPS = [0, 1, 2, 3, 1_000, 2**20 + 1, 2**30 - 300]
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("skip", SKIPS)
+    @pytest.mark.parametrize("n", [1, 7, 256, 1024])
+    def test_one_batch_matches_scipy(self, dim, skip, n):
+        if skip + n > 2**30:
+            with pytest.raises(ValueError):
+                scipy_sobol(dim, skip)(n)
+            with pytest.raises(ValueError, match="2\\*\\*30"):
+                SobolStream(dim, skip).next(n)
+            return
+        expected, points = scipy_sobol(dim, skip)(n), SobolStream(dim, skip).next(n)
+        assert points.dtype == expected.dtype and points.shape == expected.shape == (n, dim)
+        assert points.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("skip", SKIPS)
+    def test_consecutive_draws_match_scipy_to_the_last_point(self, dim, skip):
+        draw, stream = scipy_sobol(dim, skip), SobolStream(dim, skip)
+        position = skip
+        for n in (1, 7, 256, 1024, 3):
+            if position + n > 2**30:
+                # Both refuse the draw and keep their place.
+                with pytest.raises(ValueError):
+                    draw(n)
+                with pytest.raises(ValueError):
+                    stream.next(n)
+                continue
+            assert stream.next(n).tobytes() == draw(n).tobytes()
+            position += n
+        if 2**30 - position <= 1024:
+            rest = 2**30 - position
+            assert stream.next(rest).tobytes() == draw(rest).tobytes()
+            with pytest.raises(ValueError):
+                stream.next(1)
+
+    def test_a_large_skip_builds_no_array_of_its_length(self):
+        tracemalloc.start()
+        try:
+            points = SobolStream(2, skip=2**30 - 300).next(256)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert points.shape == (256, 2)
+        assert peak < 64 * 1024
+
+    @pytest.mark.parametrize("dim", [0, 3, True, 1.0, "1"])
+    def test_other_dimensions_are_refused(self, dim):
+        with pytest.raises(ValueError, match="dimension"):
+            SobolStream(dim)
+
+    @pytest.mark.parametrize("skip", [-1, True, 1.0, 2**30 + 1])
+    def test_bad_skips_are_refused(self, skip):
+        with pytest.raises(ValueError, match="skip"):
+            SobolStream(1, skip)
+
+    @pytest.mark.parametrize("n", [0, -1, True, 2.0])
+    def test_bad_batch_sizes_are_refused(self, n):
+        stream = SobolStream(1, skip=1)
+        with pytest.raises(ValueError, match="batch size"):
+            stream.next(n)
+        assert stream.next(1)[0, 0] == 0.5
+
+    def test_importing_sgnet_leaves_scipy_stats_out(self):
+        # scipy.stats pulls in scipy's optimize, integrate, interpolate and
+        # spatial packages: tens of MB and about half a second per process.
+        done = python(
+            """
+            import sys
+            import sgnet, sgnet.cli
+            print(sorted(m for m in sys.modules if m == "scipy.stats" or m.startswith("scipy.stats.")))
+            """
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"
 
 
 class TestAdam:

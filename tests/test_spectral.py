@@ -353,19 +353,22 @@ class TestGalerkinTensor:
             assert stored.tobytes() == expected.tobytes(), name
 
     def test_build_memory_is_bounded(self):
-        # N=10, P=4 (K=1001): 12.6 MB of stored arrays.  All (i, j, t, dim)
-        # candidates at once would take 2.6 GB; the builder's blocks of rows
-        # keep its transients (measured 2.6x the stored bytes) well inside 4x.
-        basis = total_degree_basis(10, 4, PolyFamily.HERMITE)
-        tracemalloc.start()
-        try:
-            tensor = galerkin_tensor(basis)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        stored = sum(v.nbytes for v in (tensor.pair_i, tensor.pair_j, tensor.indptr, tensor.k, tensor.g))
-        assert 12e6 < stored < 13e6
-        assert peak < 4 * stored
+        # N=10, P=4 (K=1001) and N=4, P=8 (K=495): 12.6 and 13.9 MB of stored
+        # arrays.  All (i, j, t, dim) candidates at once would take 2.6 GB at
+        # N=10, P=4; the builder's blocks of rows, cut into runs of pairs by
+        # their candidate counts, keep its transients (measured 2.6x and 3.0x
+        # the stored bytes; 9.4x at N=4, P=8 with blocks of rows alone) inside 4x.
+        for n_dims, max_degree, stored_mb in ((10, 4, 12.6), (4, 8, 13.9)):
+            basis = total_degree_basis(n_dims, max_degree, PolyFamily.HERMITE)
+            tracemalloc.start()
+            try:
+                tensor = galerkin_tensor(basis)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            stored = sum(v.nbytes for v in (tensor.pair_i, tensor.pair_j, tensor.indptr, tensor.k, tensor.g))
+            assert abs(stored / 1e6 - stored_mb) < 0.1
+            assert peak < 4 * stored
 
     def test_unsorted_triples_are_refused(self):
         # Shuffled triples would split pairs into repeated rows, and

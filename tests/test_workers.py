@@ -4,18 +4,13 @@ from __future__ import annotations
 
 import os
 import pickle
-import subprocess
-import sys
-import textwrap
 import threading
 import time
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import sgnet
 from sgnet import net as net_module
 from sgnet import workers
 from sgnet.fields import draw_samples, field_model, make_spectral_field
@@ -32,16 +27,7 @@ from sgnet.reference import Mesh2D
 from sgnet.solver import TrainConfig, train
 from sgnet.spectral import PolyFamily, galerkin_tensor, total_degree_basis
 
-SRC = str(Path(sgnet.__file__).parents[1])
-TESTS = str(Path(__file__).parent)
-
-
-def python(script: str) -> subprocess.CompletedProcess:
-    """Run ``script`` in a fresh interpreter that imports this checkout's sgnet."""
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, TESTS]))
-    return subprocess.run(
-        [sys.executable, "-c", textwrap.dedent(script)], env=env, capture_output=True, text=True, timeout=300
-    )
+from oracles import python
 
 
 def worker_results() -> dict[str, object]:
