@@ -7,14 +7,17 @@ the same machinery compares networks against analytic, pathwise-FEM and
 coupled-FEM references.  One Monte Carlo pass evaluates the reference once
 per sample for every surrogate.
 
-The pass runs its chunks of samples on the workers of :mod:`sgnet.workers`,
-so an evaluator may be called from two threads at once: it must not change
-shared state while it evaluates.  It may start a pass of its own, which
-runs on the workers when the metric's pass has one chunk and inline in a
-chunk's thread otherwise.  The evaluators built here do all their set-up
-before they return.  Inside the pass they take their result arrays from the
-worker's arena, which the next chunk reuses, so such a result lasts until its
-chunk ends.
+The pass shares its chunks of samples among the workers of
+:mod:`sgnet.workers`, so an evaluator may be called from two threads at
+once: it must not change shared state while it evaluates.  A worker
+evaluates each of its chunks in consecutive calls of at most ``_CALL_BYTES``
+per (realizations x grid) array, so the pass's memory does not grow with the
+chunk or the grid.  An evaluator may start a pass of its own, which runs on
+the workers when the metric's pass has one chunk and inline in a chunk's
+thread otherwise.  The evaluators built here do all their set-up before they
+return.  Inside the pass they take their result arrays from the worker's
+arena, which the next call reuses, so such a result lasts until its call
+ends.
 """
 
 from __future__ import annotations
@@ -97,11 +100,17 @@ class ErrorReport:
     mc_standard_error: float
 
 
-class _Arena:
-    """The arrays one chunk of a worker's Monte Carlo pass asks for, in order, reused by its next chunk.
+# Bytes of the largest (realizations x grid) array of one evaluator call: the
+# gradients, of shape (m, L, d).  A chunk of exp2's 4,096-point 2-D grid takes
+# calls of 32 realizations; the chunks of 1-D grids of up to 512 points fit in one.
+_CALL_BYTES = 2 << 20
 
-    Freed after every chunk, these multi-MB arrays would be handed back to the
-    system by malloc and faulted in again by the next chunk.
+
+class _Arena:
+    """The arrays one evaluator call of a worker's Monte Carlo pass asks for, in order, reused by its next call.
+
+    Freed after every call, these arrays of up to ``_CALL_BYTES`` would be
+    handed back to the system by malloc and faulted in again by the next one.
     """
 
     def __init__(self) -> None:
@@ -122,7 +131,7 @@ class _Arena:
 _local = threading.local()
 
 
-def _empty(*shape: int) -> np.ndarray:
+def _empty(shape: tuple[int, ...]) -> np.ndarray:
     """An array for an evaluator's result; from the thread's arena while a Monte Carlo pass runs on it."""
     arena = getattr(_local, "arena", None)
     return np.empty(shape) if arena is None else arena.empty(shape)
@@ -130,8 +139,8 @@ def _empty(*shape: int) -> np.ndarray:
 
 def _h1_terms(value: np.ndarray, grad: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Squared H1 norm of each realization, by the trapezoid rule on the grid."""
-    total = np.multiply(value, value, out=_empty(*value.shape))
-    square = _empty(*value.shape)
+    total = np.multiply(value, value, out=_empty(value.shape))
+    square = _empty(value.shape)
     for d in range(grad.shape[2]):
         g = grad[:, :, d]
         total += np.multiply(g, g, out=square)
@@ -168,9 +177,10 @@ def rel_h1_error(
     square roots is reported.  Each chunk of realizations reaches the
     reference once, whatever the number of surrogates.
 
-    Worker w measures the chunks ``starts[w::n_workers]`` and writes only
-    their rows; the means are formed after the pass, so the report does not
-    depend on the worker count.
+    Worker w measures the chunks ``starts[w::n_workers]``, each in calls of
+    ``per_call`` realizations, and writes only their rows; the means are
+    formed after the pass, so the report depends on neither the worker count
+    nor the call size, up to roundoff in the per-realization terms.
     """
     rng = np.random.default_rng(seed)
     samples = draw_samples(model.family, model.n_vars, n_mc, rng)
@@ -179,23 +189,26 @@ def rel_h1_error(
     w = grid.weights
     starts = range(0, n_mc, chunk)
     n_workers = max(1, min(workers.count(), len(starts)))
+    per_call = max(1, _CALL_BYTES // (8 * grid.points.size))
 
     def measure(worker: int) -> None:
         _local.arena = arena = _Arena()
         try:
             for start in starts[worker::n_workers]:
-                block = samples[start : start + chunk]
-                rows = slice(start, start + block.shape[0])
-                arena.used = 0
-                u, du = reference(block)
-                kept = arena.used  # every surrogate reuses the arrays after the reference's
-                denominator_terms[rows] = _h1_terms(u, du, w)
-                for name, surrogate in surrogates.items():
-                    arena.used = kept
-                    v, dv = surrogate(block)
-                    v = np.subtract(u, v, out=_empty(*u.shape))
-                    dv = np.subtract(du, dv, out=_empty(*du.shape))
-                    numerator_terms[name][rows] = _h1_terms(v, dv, w)
+                stop = min(start + chunk, n_mc)
+                for first in range(start, stop, per_call):
+                    rows = slice(first, min(first + per_call, stop))
+                    block = samples[rows]
+                    arena.used = 0
+                    u, du = reference(block)
+                    kept = arena.used  # every surrogate reuses the arrays after the reference's
+                    denominator_terms[rows] = _h1_terms(u, du, w)
+                    for name, surrogate in surrogates.items():
+                        arena.used = kept
+                        v, dv = surrogate(block)
+                        v = np.subtract(u, v, out=_empty(u.shape))
+                        dv = np.subtract(du, dv, out=_empty(du.shape))
+                        numerator_terms[name][rows] = _h1_terms(v, dv, w)
         finally:
             del _local.arena
 
@@ -217,7 +230,7 @@ def exact_exp1_evaluator(grid: SpatialGrid) -> PathwiseEvaluator:
     def evaluate(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         amp = 0.5 * np.abs(samples[:, 0] - 1.0)[:, None]
         m, L = len(samples), len(x)
-        return np.multiply(amp, shape, out=_empty(m, L)), np.multiply(amp, slope, out=_empty(m, L))[:, :, None]
+        return np.multiply(amp, shape, out=_empty((m, L))), np.multiply(amp, slope, out=_empty((m, L)))[:, :, None]
 
     return evaluate
 
@@ -234,10 +247,10 @@ def _spectral_reconstruction(
     by_direction = np.ascontiguousarray(grads.transpose(2, 1, 0))
 
     def evaluate(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        p = basis_matrix(basis, samples)
+        p = basis_matrix(basis, samples, _empty)
         m, L = len(samples), len(values)
-        value = np.matmul(p, values.T, out=_empty(m, L))
-        return value, np.matmul(p, by_direction, out=_empty(len(by_direction), m, L)).transpose(1, 2, 0)
+        value = np.matmul(p, values.T, out=_empty((m, L)))
+        return value, np.matmul(p, by_direction, out=_empty((len(by_direction), m, L))).transpose(1, 2, 0)
 
     return evaluate
 
@@ -323,8 +336,8 @@ def fem_evaluator(
 
     def evaluate(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         m = samples.shape[0]
-        values = _empty(m, grid.points.shape[0])
-        grads = _empty(m, grid.points.shape[0], grid.dim)
+        values = _empty((m, grid.points.shape[0]))
+        grads = _empty((m, grid.points.shape[0], grid.dim))
         n_workers = max(1, min(workers.count(), m))
 
         def solve(worker: int) -> None:

@@ -110,8 +110,9 @@ def ritz_risk(
 
 # -- validation ------------------------------------------------------------------
 
-# Realizations whose basis values one validation block holds.
-_VALIDATION_CHUNK = 2_000
+# Bytes of one (realizations x grid) array of a validation block: blocks of
+# 256 realizations on the 2-D grid of 1,024 points, 2,048 on the 1-D grid of 128.
+_VALIDATION_BYTES = 2 << 20
 
 
 def validation_error(net: MultiBranchNet, field_: SpectralField, n_samples: int = 10_000, seed: int = 0) -> float:
@@ -122,7 +123,8 @@ def validation_error(net: MultiBranchNet, field_: SpectralField, n_samples: int 
     residual of the original PDE is averaged in squares over samples and the
     points of :func:`default_validation_grid`.  The field must be unweighted:
     the residual is that of the original equation regardless of how the
-    network was trained.
+    network was trained.  The samples are taken in blocks whose
+    (realizations x grid) arrays hold at most ``_VALIDATION_BYTES``.
     """
     if field_.weighting != "none":
         raise ValueError("validation uses the unweighted expansion")
@@ -135,8 +137,9 @@ def validation_error(net: MultiBranchNet, field_: SpectralField, n_samples: int 
     rng = np.random.default_rng(seed)
     samples = draw_samples(basis.family, basis.n_dims, n_samples, rng)
     total = 0.0
-    for start in range(0, n_samples, _VALIDATION_CHUNK):
-        block = samples[start : start + _VALIDATION_CHUNK]
+    per_block = max(1, _VALIDATION_BYTES // (8 * x_grid.shape[0]))
+    for start in range(0, n_samples, per_block):
+        block = samples[start : start + per_block]
         p_matrix = basis_matrix(basis, block)
         # a u_lap + f, built in place: the net's tape stays alive for the next
         # training step, so the block keeps few temporaries of its own.

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import sys
 import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +23,7 @@ from sgnet.fields import (
 )
 from sgnet.metrics import (
     _h1_terms,
+    _report,
     _spectral_reconstruction,
     coupled_evaluator,
     exact_exp1_evaluator,
@@ -47,6 +49,19 @@ def truncated_exact_net(max_degree):
         grad=lambda x: (half[None, :] * (1.0 - 2.0 * x[:, :1]))[:, :, None],
         lap=lambda x: np.broadcast_to(-forcing, (x.shape[0], forcing.size)).copy(),
     )
+
+
+def product_evaluator(grid, scale):
+    """u = (1 + scale y_1) sin(pi x) sin(pi y) on a 2-D grid: cheap, in new arrays on every call."""
+    x, y = grid.points[:, 0], grid.points[:, 1]
+    shape = np.sin(np.pi * x) * np.sin(np.pi * y)
+    slope = np.pi * np.stack([np.cos(np.pi * x) * np.sin(np.pi * y), np.sin(np.pi * x) * np.cos(np.pi * y)], axis=1)
+
+    def evaluate(samples):
+        amp = 1.0 + scale * samples[:, :1]
+        return amp * shape, amp[:, :, None] * slope
+
+    return evaluate
 
 
 class TestRelH1Error:
@@ -235,10 +250,73 @@ class TestRelH1Error:
 
         monkeypatch.setattr(workers, "count", lambda: 1)
         surrogates = {"v": recording("v", surrogate)}
+        bases = set()
+
+        def recorded_basis_matrix(*args):
+            matrix = basis_matrix(*args)
+            bases.add(matrix.ctypes.data)
+            return matrix
+
+        monkeypatch.setattr(metrics_module, "basis_matrix", recorded_basis_matrix)
         rel_h1_error(recording("u", reference), surrogates, grid, model, n_mc=640, seed=5, chunk=64)
-        assert len(addresses["u"]) == len(addresses["v"]) == 1
+        assert len(addresses["u"]) == len(addresses["v"]) == len(bases) == 1
         samples = np.zeros((4, 1))
         assert not np.shares_memory(reference(samples)[0], reference(samples)[0])
+
+    def test_calls_bound_the_pass_memory(self):
+        # exp2's grid of 4,096 midpoints: at the 200 realizations of its one
+        # chunk, every evaluator result would hold 20 MB; calls of 32
+        # realizations hold 3 MiB each.
+        grid = midpoint_grid(Mesh2D(64))
+        model = field_model("exp2", 8)
+        reference, surrogate = product_evaluator(grid, 0.3), product_evaluator(grid, 0.2)
+        tracemalloc.start()
+        try:
+            rel_h1_error(reference, {"v": surrogate}, grid, model, n_mc=200, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * (2 << 20)
+
+    @pytest.mark.parametrize("rows", [1, 7, 32])
+    def test_call_size_changes_only_roundoff(self, monkeypatch, rows):
+        # The per-realization terms of calls of 1, 7 or 32 (the default)
+        # realizations agree with those of one call per chunk.
+        grid = midpoint_grid(Mesh2D(32))
+        model = field_model("exp2", 8)
+        basis = total_degree_basis(8, 1, model.family)
+        rng = np.random.default_rng(1)
+        surrogates = {
+            "net": _spectral_reconstruction(basis, rng.normal(size=(1024, 9)), rng.normal(size=(1024, 9, 2))),
+            "close": product_evaluator(grid, 0.2),
+        }
+        args = (product_evaluator(grid, 0.3), surrogates, grid, model)
+        monkeypatch.setattr(metrics_module, "_CALL_BYTES", 8 * grid.points.size * 100)
+        whole = rel_h1_error(*args, n_mc=100, seed=2)
+        monkeypatch.setattr(metrics_module, "_CALL_BYTES", 8 * grid.points.size * rows)
+        for name, report in rel_h1_error(*args, n_mc=100, seed=2).items():
+            for field in ("rel_error", "numerator", "denominator", "mc_standard_error"):
+                assert getattr(report, field) == pytest.approx(getattr(whole[name], field), rel=1e-12, abs=0)
+
+    def test_a_chunk_that_fits_one_call_is_evaluated_whole(self):
+        # exp1's grid of 257 points: a 512-realization chunk is one call, so
+        # the report is bit for bit that of evaluating the chunk at once.
+        model = field_model("exp1", 1)
+        grid = uniform_grid_1d(257)
+        reference = exact_exp1_evaluator(grid)
+        surrogate = net_evaluator(truncated_exact_net(4), total_degree_basis(1, 4, PolyFamily.HERMITE), grid)
+        sizes = []
+
+        def counting(samples):
+            sizes.append(samples.shape[0])
+            return reference(samples)
+
+        report = rel_h1_error(counting, {"v": surrogate}, grid, model, n_mc=512, seed=3)["v"]
+        assert sizes == [512]
+        samples = draw_samples(model.family, 1, 512, np.random.default_rng(3))
+        u, du = reference(samples)
+        v, dv = surrogate(samples)
+        assert report == _report(_h1_terms(u - v, du - dv, grid.weights), _h1_terms(u, du, grid.weights))
 
     def test_more_workers_than_cpus_fill_every_row(self, monkeypatch):
         # Workers write the rows of their own chunks into shared arrays: with

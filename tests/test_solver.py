@@ -8,6 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from sgnet import solver as solver_module
 from sgnet.fields import exp1_forcing_coeffs, field_model, make_spectral_field
 from sgnet.net import BranchSpec, MultiBranchNet
 from sgnet.solver import (
@@ -23,7 +24,7 @@ from sgnet.solver import (
     train,
     validation_error,
 )
-from sgnet.spectral import PolyFamily, galerkin_tensor, total_degree_basis
+from sgnet.spectral import PolyFamily, basis_matrix, galerkin_tensor, total_degree_basis
 
 from oracles import (
     AffineField,
@@ -289,8 +290,6 @@ class TestValidationError:
         # bound the deviation by three standard errors of the sample mean.
         rng = np.random.default_rng(7)
         y = rng.standard_normal((n_samples, 1))
-        from sgnet.spectral import basis_matrix
-
         fbar_sq = (basis_matrix(basis, y) @ forcing) ** 2
         se = float(fbar_sq.std(ddof=1) / math.sqrt(n_samples))
         assert value == pytest.approx(float(np.sum(forcing**2)), abs=3 * se)
@@ -302,6 +301,38 @@ class TestValidationError:
         a = validation_error(net, field, n_samples=300, seed=11)
         b = validation_error(net, field, n_samples=300, seed=11)
         assert a == b
+
+    @pytest.mark.parametrize("rows", [1, 7, 256])
+    def test_block_size_changes_only_roundoff(self, monkeypatch, rows):
+        # exp2's shape: blocks of 1, 7 or 256 (the default) realizations on
+        # the grid of 1,024 points agree with one block.
+        model = field_model("exp2", 8)
+        field = make_spectral_field(model, total_degree_basis(8, 1, model.family))
+        net = MultiBranchNet(BranchSpec(2, (6, 6), ("swish", "swish", "linear")), n_branches=9, seed=2)
+        monkeypatch.setattr(solver_module, "_VALIDATION_BYTES", 8 * 1024 * 300)
+        whole = validation_error(net, field, n_samples=300, seed=3)
+        monkeypatch.setattr(solver_module, "_VALIDATION_BYTES", 8 * 1024 * rows)
+        assert validation_error(net, field, n_samples=300, seed=3) == pytest.approx(whole, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize(
+        "experiment, n_vars, spatial_dim, n_samples, blocks",
+        [("exp1", 1, 1, 2_000, [2_000]), ("exp2", 8, 2, 1_000, [256, 256, 256, 232])],
+    )
+    def test_blocks_hold_at_most_two_mib(self, monkeypatch, experiment, n_vars, spatial_dim, n_samples, blocks):
+        # 2 MiB of residuals: the 1-D grid of 128 points keeps its one block.
+        model = field_model(experiment, n_vars)
+        basis = total_degree_basis(n_vars, 1, model.family)
+        field = make_spectral_field(model, basis)
+        net = MultiBranchNet(BranchSpec(spatial_dim, (4,), ("swish", "linear")), n_branches=basis.size, seed=0)
+        sizes = []
+
+        def counting(basis, samples):
+            sizes.append(samples.shape[0])
+            return basis_matrix(basis, samples)
+
+        monkeypatch.setattr(solver_module, "basis_matrix", counting)
+        validation_error(net, field, n_samples=n_samples, seed=0)
+        assert sizes == blocks
 
     def test_weighted_field_rejected(self):
         n_vars = 2
