@@ -14,7 +14,7 @@ from .spectral import (
     galerkin_tensor,
     total_degree_basis,
 )
-from .fields import FieldModel, SpectralField, field_model, make_spectral_field
+from .fields import FieldModel, SpectralField, field_model
 from .net import BranchSpec, MultiBranchNet
 from .solver import SobolStream, TrainConfig, TrainResult, ritz_risk, strong_risk, train, validation_error
 from .metrics import ErrorReport, rel_h1_error
@@ -36,7 +36,6 @@ __all__ = [
     "TrainResult",
     "field_model",
     "galerkin_tensor",
-    "make_spectral_field",
     "rel_h1_error",
     "ritz_risk",
     "strong_risk",

@@ -21,7 +21,7 @@ from typing import Sequence
 import yaml
 
 from . import diagnostics
-from .fields import FieldModel, field_model, make_spectral_field
+from .fields import FieldModel, SpectralField, field_model
 from .metrics import (
     PathwiseEvaluator,
     SpatialGrid,
@@ -312,7 +312,7 @@ def run(config: ExperimentConfig, echo=print) -> int:
                     model = field_model(config.experiment, n_vars)
                     basis = total_degree_basis(n_vars, degree, model.family)
                     tensor = galerkin_tensor(basis)
-                    train_field = make_spectral_field(model, basis, weighting=config.weighting)
+                    train_field = SpectralField(model, basis, config.weighting)
                     grid, ref_eval = _reference(config, model, basis, tensor, train_field)
                     trained, surrogates = {}, {}
                     diverged = None

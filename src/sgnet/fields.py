@@ -43,7 +43,6 @@ __all__ = [
     "exp3_diffusion_coeff",
     "exp3_diffusion_grad",
     "field_model",
-    "make_spectral_field",
     "pathwise_sampler",
     "draw_samples",
 ]
@@ -443,8 +442,3 @@ class SpectralField:
                     term = term * values[:, j, index_array[:, j]]
             out += term
         return out
-
-
-def make_spectral_field(model: FieldModel, basis: OrderedBasis, weighting: str = "none") -> SpectralField:
-    """Bind a field model to a basis, yielding coefficient evaluators."""
-    return SpectralField(model, basis, weighting)

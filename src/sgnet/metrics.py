@@ -100,6 +100,11 @@ class ErrorReport:
     mc_standard_error: float
 
 
+# Realizations per chunk, the unit of work the workers share.  A pass of at
+# most 512 realizations (exp2's 200) is one chunk, so its pathwise FEM solves
+# take every worker.
+_CHUNK = 512
+
 # Bytes of the largest (realizations x grid) array of one evaluator call: the
 # gradients, of shape (m, L, d).  A chunk of exp2's 4,096-point 2-D grid takes
 # calls of 32 realizations; the chunks of 1-D grids of up to 512 points fit in one.
@@ -167,7 +172,6 @@ def rel_h1_error(
     model: FieldModel,
     n_mc: int = 10_000,
     seed: int = 0,
-    chunk: int = 512,
 ) -> dict[str, ErrorReport]:
     """Monte Carlo estimate of ||u - v|| / ||u|| in the L2(Omega; H1) norm, per surrogate.
 
@@ -177,17 +181,20 @@ def rel_h1_error(
     square roots is reported.  Each chunk of realizations reaches the
     reference once, whatever the number of surrogates.
 
-    Worker w measures the chunks ``starts[w::n_workers]``, each in calls of
-    ``per_call`` realizations, and writes only their rows; the means are
-    formed after the pass, so the report depends on neither the worker count
-    nor the call size, up to roundoff in the per-realization terms.
+    Worker w measures the chunks of ``_CHUNK`` realizations
+    ``starts[w::n_workers]``, each in calls of ``per_call`` realizations, and
+    writes only their rows; the means are formed after the pass, so the
+    report depends on neither the worker count nor the call size, up to
+    roundoff in the per-realization terms.
     """
+    if n_mc < 1:
+        raise ValueError(f"n_mc must be at least 1, got {n_mc}")
     rng = np.random.default_rng(seed)
     samples = draw_samples(model.family, model.n_vars, n_mc, rng)
     numerator_terms = {name: np.empty(n_mc) for name in surrogates}
     denominator_terms = np.empty(n_mc)
     w = grid.weights
-    starts = range(0, n_mc, chunk)
+    starts = range(0, n_mc, _CHUNK)
     n_workers = max(1, min(workers.count(), len(starts)))
     per_call = max(1, _CALL_BYTES // (8 * grid.points.size))
 
@@ -195,7 +202,7 @@ def rel_h1_error(
         _local.arena = arena = _Arena()
         try:
             for start in starts[worker::n_workers]:
-                stop = min(start + chunk, n_mc)
+                stop = min(start + _CHUNK, n_mc)
                 for first in range(start, stop, per_call):
                     rows = slice(first, min(first + per_call, stop))
                     block = samples[rows]
@@ -247,7 +254,7 @@ def _spectral_reconstruction(
     by_direction = np.ascontiguousarray(grads.transpose(2, 1, 0))
 
     def evaluate(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        p = basis_matrix(basis, samples, _empty)
+        p = basis_matrix(basis, samples)
         m, L = len(samples), len(values)
         value = np.matmul(p, values.T, out=_empty((m, L)))
         return value, np.matmul(p, by_direction, out=_empty((len(by_direction), m, L))).transpose(1, 2, 0)

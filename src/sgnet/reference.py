@@ -277,10 +277,6 @@ class CoupledSolution:
     coeffs: np.ndarray  # (M + 1, n_elem + 1) including the zero boundary values
     energy: float
 
-    @property
-    def size(self) -> int:
-        return self.coeffs.shape[0]
-
 
 def assemble_coupled_system(
     mesh: Mesh1D, field_: SpectralField, tensor: GalerkinTensor

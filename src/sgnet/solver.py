@@ -15,7 +15,6 @@ import math
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
@@ -50,13 +49,7 @@ class TrainingDivergedError(RuntimeError):
 # are C(a, r_bar) and C(d_d a, r_bar), and the Ritz flux is C(a, d_d u).
 
 
-def strong_risk(
-    x: np.ndarray,
-    net: MultiBranchNet,
-    field_: SpectralField,
-    tensor: GalerkinTensor,
-    with_grad: bool = True,
-):
+def strong_risk(x: np.ndarray, net: MultiBranchNet, field_: SpectralField, tensor: GalerkinTensor):
     """Mean squared projected strong residual over the batch, with parameter gradient."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
     n, dim = x.shape
@@ -70,8 +63,6 @@ def strong_risk(
     for d in range(dim):
         residual += tensor.contract(coeff_grads[:, :, d], record.grad[:, :, d])
     risk = float(np.mean(residual * residual))
-    if not with_grad:
-        return risk, None
     # d risk / d r_nk, then chain through the linear residual.
     r_bar = residual * (2.0 / (n * size))
     d_lap = tensor.contract(coeff, r_bar)
@@ -79,13 +70,7 @@ def strong_risk(
     return risk, net.param_grad(record, d_grad=d_grad, d_lap=d_lap)
 
 
-def ritz_risk(
-    x: np.ndarray,
-    net: MultiBranchNet,
-    field_: SpectralField,
-    tensor: GalerkinTensor,
-    with_grad: bool = True,
-):
+def ritz_risk(x: np.ndarray, net: MultiBranchNet, field_: SpectralField, tensor: GalerkinTensor):
     """Monte Carlo Ritz energy over the batch, with parameter gradient.
 
     The energy density is 1/2 sum_k grad u_k . flux_k - sum_k f_k u_k with the
@@ -102,8 +87,6 @@ def ritz_risk(
     flux = np.stack([tensor.contract(coeff, record.grad[:, :, d]) for d in range(dim)], axis=2)
     density = 0.5 * np.einsum("nid,nid->n", record.grad, flux) - np.einsum("nk,nk->n", forcing, record.value)
     risk = float(np.mean(density))
-    if not with_grad:
-        return risk, None
     scale = 1.0 / n
     return risk, net.param_grad(record, d_value=-scale * forcing, d_grad=scale * flux)
 
@@ -128,6 +111,8 @@ def validation_error(net: MultiBranchNet, field_: SpectralField, n_samples: int 
     """
     if field_.weighting != "none":
         raise ValueError("validation uses the unweighted expansion")
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be at least 1, got {n_samples}")
     basis = field_.basis
     x_grid = default_validation_grid(field_.spatial_dim)
     _, u_grads, u_laps = net.evaluate_grid(x_grid, order=2)
@@ -220,13 +205,9 @@ class SobolStream:
         return points * 2.0**-_SOBOL_BITS
 
 
-def sobol_batch(stream: SobolStream, n: int, lo: Sequence[float], hi: Sequence[float]) -> np.ndarray:
-    """Next ``n`` stream points mapped affinely into the box [lo, hi]."""
-    lo = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
-    if lo.size != stream.dim or hi.size != stream.dim:
-        raise ValueError("box dimension does not match the stream")
-    return lo + stream.next(n) * (hi - lo)
+def sobol_batch(stream: SobolStream, n: int) -> np.ndarray:
+    """Next ``n`` stream points, in the unit box [0, 1)^d of the spatial domain."""
+    return stream.next(n)
 
 
 # -- optimizer ----------------------------------------------------------------------
@@ -387,13 +368,11 @@ def train(
     if loss_kind not in ("strong", "ritz"):
         raise ValueError(f"unknown loss kind {loss_kind!r}")
     loss_fn = strong_risk if loss_kind == "strong" else ritz_risk
-    dim = field_.spatial_dim
     validation_field = field_ if field_.weighting == "none" else SpectralField(field_.model, field_.basis)
 
-    stream = SobolStream(dim, skip=config.seed_sobol)
+    stream = SobolStream(field_.spatial_dim, skip=config.seed_sobol)
     state = AdamState.zeros(net.n_params)
     theta = net.params_flat()
-    lo, hi = np.zeros(dim), np.ones(dim)
 
     if history_path is not None:
         history_path = Path(history_path)
@@ -415,7 +394,7 @@ def train(
         lr = config.lr0
         for _ in range(config.steps_per_epoch):
             lr = config.lr0 * config.lr_decay ** (state.t // config.lr_decay_steps)
-            x = sobol_batch(stream, config.batch_size, lo, hi)
+            x = sobol_batch(stream, config.batch_size)
             risk, grad = loss_fn(x, net, field_, tensor)
             if not np.isfinite(risk):
                 raise TrainingDivergedError(

@@ -16,7 +16,7 @@ import struct
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
@@ -88,8 +88,9 @@ def enumerate_indices(n_dims: int, max_degree: int) -> list[tuple[int, ...]]:
     return out
 
 
-def _hermite_table(max_degree: int, y: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """Orthonormal probabilist's Hermite values h_0..h_P at points ``y``, written into ``table``."""
+def _hermite_table(max_degree: int, y: np.ndarray) -> np.ndarray:
+    """Orthonormal probabilist's Hermite values h_0..h_P at points ``y``."""
+    table = np.empty((y.size, max_degree + 1))
     table[:, 0] = 1.0
     if max_degree >= 1:
         table[:, 1] = y
@@ -98,29 +99,25 @@ def _hermite_table(max_degree: int, y: np.ndarray, table: np.ndarray) -> np.ndar
     return table
 
 
-def _legendre_table(max_degree: int, y: np.ndarray, mono: np.ndarray) -> np.ndarray:
-    """Orthonormal Legendre values p_0..p_P at points ``y`` (uniform on [-1, 1]), written into ``mono``."""
+def _legendre_table(max_degree: int, y: np.ndarray) -> np.ndarray:
+    """Orthonormal Legendre values p_0..p_P at points ``y`` (uniform on [-1, 1])."""
+    mono = np.empty((y.size, max_degree + 1))
     mono[:, 0] = 1.0
     if max_degree >= 1:
         mono[:, 1] = y
     for k in range(1, max_degree):
         mono[:, k + 1] = ((2 * k + 1) * y * mono[:, k] - k * mono[:, k - 1]) / (k + 1)
-    mono *= np.sqrt(2.0 * np.arange(max_degree + 1) + 1.0)
-    return mono
+    return mono * np.sqrt(2.0 * np.arange(max_degree + 1) + 1.0)
 
 
-def univariate_table(
-    family: PolyFamily, max_degree: int, y: np.ndarray, out: np.ndarray | None = None
-) -> np.ndarray:
-    """Table of orthonormal polynomial values, shape ``(len(y), max_degree + 1)``, in ``out`` if given."""
+def univariate_table(family: PolyFamily, max_degree: int, y: np.ndarray) -> np.ndarray:
+    """Table of orthonormal polynomial values, shape ``(len(y), max_degree + 1)``."""
     if max_degree < 0:
         raise ValueError("max_degree must be non-negative")
     y = np.atleast_1d(np.asarray(y, dtype=float))
-    if out is None:
-        out = np.empty((y.size, max_degree + 1))
     if family is PolyFamily.HERMITE:
-        return _hermite_table(max_degree, y, out)
-    return _legendre_table(max_degree, y, out)
+        return _hermite_table(max_degree, y)
+    return _legendre_table(max_degree, y)
 
 
 @dataclass(frozen=True)
@@ -226,28 +223,18 @@ def total_degree_basis(n_dims: int, max_degree: int, family: PolyFamily) -> Orde
     return OrderedBasis(n_dims, max_degree, family, tuple(enumerate_indices(n_dims, max_degree)))
 
 
-def basis_matrix(
-    basis: OrderedBasis, samples: np.ndarray, empty: Callable[[tuple[int, ...]], np.ndarray] = np.empty
-) -> np.ndarray:
-    """Matrix of basis values, shape ``(n_samples, M + 1)``.
-
-    The result and the scratch arrays behind it come from ``empty(shape)``,
-    so a caller can hand out arrays it reuses.
-    """
+def basis_matrix(basis: OrderedBasis, samples: np.ndarray) -> np.ndarray:
+    """Matrix of basis values, shape ``(n_samples, M + 1)``."""
     samples = np.atleast_2d(np.asarray(samples, dtype=float))
     if samples.shape[1] != basis.n_dims:
         raise ValueError(f"samples have {samples.shape[1]} coordinates, basis has {basis.n_dims}")
     index_array = basis.index_array
-    m = samples.shape[0]
-    out = empty((m, basis.size))
-    table = empty((m, basis.max_degree + 1))
-    gathered = empty((m, basis.size)) if basis.n_dims > 1 else None
+    out = np.ones((samples.shape[0], basis.size))
+    gathered = np.empty_like(out)
     for dim in range(basis.n_dims):
-        univariate_table(basis.family, basis.max_degree, samples[:, dim], out=table)
-        # mode="clip" writes straight into ``out``; the default mode buffers it.
-        np.take(table, index_array[:, dim], axis=1, out=out if dim == 0 else gathered, mode="clip")
-        if dim > 0:
-            out *= gathered
+        table = univariate_table(basis.family, basis.max_degree, samples[:, dim])
+        # mode="clip" gathers straight into ``gathered``; the default mode buffers it.
+        out *= np.take(table, index_array[:, dim], axis=1, out=gathered, mode="clip")
     return out
 
 

@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 import yaml
 
-from sgnet.fields import exp1_forcing_coeffs, field_model, make_spectral_field
+from sgnet.fields import SpectralField, exp1_forcing_coeffs, field_model
 from sgnet.metrics import exact_exp1_evaluator, net_evaluator, rel_h1_error, uniform_grid_1d
 from sgnet.net import BranchSpec, MultiBranchNet
 from sgnet.solver import SobolStream, TrainConfig, ritz_risk, train, validation_error
@@ -179,7 +179,7 @@ EXP1_TRAIN = TrainConfig(
 def exp1_problem():
     basis = total_degree_basis(1, EXP1_DEGREE, PolyFamily.HERMITE)
     model = field_model("exp1", 1)
-    field = make_spectral_field(model, basis)
+    field = SpectralField(model, basis)
     tensor = galerkin_tensor(basis)
     forcing = exp1_forcing_coeffs(EXP1_DEGREE)
     return basis, model, field, tensor, forcing
@@ -288,7 +288,7 @@ class TestCriterion7RitzMinimization:
         basis, _, field, tensor, _ = exp1_problem
         net, _, _ = exp1_trained["ritz"]
         x = SobolStream(1, skip=1).next(20_000)
-        risk, _ = ritz_risk(x, net, field, tensor, with_grad=False)
+        risk, _ = ritz_risk(x, net, field, tensor)
         assert risk <= 0.0
         report("7b (negative energy)", f"trained Ritz energy {risk:.6f} <= 0")
 
@@ -300,7 +300,7 @@ class TestCriterion7RitzMinimization:
             grad=lambda x: (half[None, :] * (1.0 - 2.0 * x[:, :1]))[:, :, None],
         )
         x = SobolStream(1, skip=1).next(10_000)
-        risk, _ = ritz_risk(x, net, field, tensor, with_grad=False)
+        risk, _ = ritz_risk(x, net, field, tensor)
         expected = -float(np.sum(forcing**2)) / 24.0
         assert risk == pytest.approx(expected, rel=0.01)
         report("7c (minimum value)", f"exact coefficients give {risk:.6f} vs -sum f^2/24 = {expected:.6f}")

@@ -9,6 +9,7 @@ import pytest
 
 from sgnet.fields import (
     KL_RATIO,
+    SpectralField,
     exp1_forcing_coeffs,
     exp2_diffusion_coeffs,
     exp3_diffusion_coeff,
@@ -17,7 +18,6 @@ from sgnet.fields import (
     field_model,
     kl_eigenpair,
     kl_sigma,
-    make_spectral_field,
     pathwise_sampler,
 )
 from sgnet.spectral import PolyFamily, basis_matrix, total_degree_basis
@@ -237,7 +237,7 @@ class TestExp3Coefficients:
         n_vars = 2
         model = field_model("exp3", n_vars)
         basis = total_degree_basis(n_vars, 2, PolyFamily.HERMITE)
-        field = make_spectral_field(model, basis)
+        field = SpectralField(model, basis)
         rng = np.random.default_rng(17)
         n_mc = 200_000
         y = rng.standard_normal((n_mc, n_vars))
@@ -266,7 +266,7 @@ class TestWeightedExpansion:
         n_vars = 2
         model = field_model("exp3", n_vars)
         basis = total_degree_basis(n_vars, 2, PolyFamily.HERMITE)
-        field = make_spectral_field(model, basis, weighting="a_min_inv")
+        field = SpectralField(model, basis, "a_min_inv")
         pair = kl_eigenpair(0)
         c = math.sqrt(pair.eigenvalue) * float(pair.phi(0.0))
         rng = np.random.default_rng(29)
@@ -286,7 +286,7 @@ class TestWeightedExpansion:
         n_vars = 2
         model = field_model("exp3", n_vars)
         basis = total_degree_basis(n_vars, 2, PolyFamily.HERMITE)
-        field = make_spectral_field(model, basis, weighting="a_min_inv")
+        field = SpectralField(model, basis, "a_min_inv")
         pair = kl_eigenpair(0)
         c = math.sqrt(pair.eigenvalue) * float(pair.phi(0.0))
         x = np.array([0.6])
@@ -312,7 +312,7 @@ class TestWeightedExpansion:
         model = field_model("exp2", 2)
         basis = total_degree_basis(2, 1, PolyFamily.LEGENDRE)
         with pytest.raises(ValueError):
-            make_spectral_field(model, basis, weighting="a_min_inv")
+            SpectralField(model, basis, "a_min_inv")
 
 
 class TestPathwiseSampler:
@@ -360,20 +360,20 @@ class TestModelValidation:
         model = field_model("exp2", 2)
         basis = total_degree_basis(2, 2, PolyFamily.LEGENDRE)
         with pytest.raises(ValueError):
-            make_spectral_field(model, basis)
+            SpectralField(model, basis)
 
     def test_family_mismatch(self):
         model = field_model("exp3", 2)
         basis = total_degree_basis(2, 2, PolyFamily.LEGENDRE)
         with pytest.raises(ValueError):
-            make_spectral_field(model, basis)
+            SpectralField(model, basis)
 
     def test_equal_fields_stay_equal_after_forcing_evaluation(self):
         # The forcing row is cached on first use; the cache is no field, so it
         # leaves equality and hashing as they were.
         model = field_model("exp3", 2)
         basis = total_degree_basis(2, 2, PolyFamily.HERMITE)
-        field, other = make_spectral_field(model, basis), make_spectral_field(model, basis)
+        field, other = SpectralField(model, basis), SpectralField(model, basis)
         before = hash(field)
         np.testing.assert_array_equal(field.forcing_values(np.array([[0.5]])), other.forcing_values(np.array([[0.2]])))
         assert field == other
@@ -386,7 +386,7 @@ class TestSpectralFieldGradients:
         # The strong loss trains on these gradients; each is checked against
         # central differences of the coefficients themselves.
         model = field_model(kind, n_vars)
-        field = make_spectral_field(model, total_degree_basis(n_vars, degree, model.family))
+        field = SpectralField(model, total_degree_basis(n_vars, degree, model.family))
         x = np.random.default_rng(4).uniform(0.05, 0.95, size=(20, model.spatial_dim))
         step = 1e-5
         fd = np.stack(

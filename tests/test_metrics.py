@@ -15,10 +15,10 @@ from sgnet import fields as fields_module
 from sgnet import metrics as metrics_module
 from sgnet import workers
 from sgnet.fields import (
+    SpectralField,
     draw_samples,
     exp1_forcing_coeffs,
     field_model,
-    make_spectral_field,
     pathwise_sampler,
 )
 from sgnet.metrics import (
@@ -34,7 +34,7 @@ from sgnet.metrics import (
     uniform_grid_1d,
 )
 from sgnet.reference import Mesh1D, Mesh2D, fem_pathwise, sga_fem_coupled
-from sgnet.spectral import PolyFamily, basis_matrix, galerkin_tensor, total_degree_basis
+from sgnet.spectral import PolyFamily, galerkin_tensor, total_degree_basis
 
 from oracles import ExactCoefficientNet, nodal_interpolant, spectral_sum
 
@@ -205,7 +205,7 @@ class TestRelH1Error:
         assert report.rel_error == pytest.approx(0.7, rel=1e-14)
         assert report.mc_standard_error <= 1e-12
 
-    def test_one_pass_matches_separate_passes(self):
+    def test_one_pass_matches_separate_passes(self, monkeypatch):
         # Every surrogate of one pass gets the report a pass of its own gives,
         # bitwise, while each sample reaches the reference once.
         model = field_model("exp1", 1)
@@ -223,10 +223,11 @@ class TestRelH1Error:
             seen.append(samples.shape[0])
             return reference(samples)
 
-        joint = rel_h1_error(counting, surrogates, grid, model, n_mc=700, seed=9, chunk=256)
+        monkeypatch.setattr(metrics_module, "_CHUNK", 256)
+        joint = rel_h1_error(counting, surrogates, grid, model, n_mc=700, seed=9)
         assert sorted(seen) == [188, 256, 256]  # the chunks may reach the reference in any order
         for name, surrogate in surrogates.items():
-            alone = rel_h1_error(reference, {name: surrogate}, grid, model, n_mc=700, seed=9, chunk=256)
+            alone = rel_h1_error(reference, {name: surrogate}, grid, model, n_mc=700, seed=9)
             assert joint[name] == alone[name]
 
     def test_chunks_reuse_the_evaluators_result_arrays(self, monkeypatch):
@@ -249,17 +250,9 @@ class TestRelH1Error:
             return wrapped
 
         monkeypatch.setattr(workers, "count", lambda: 1)
-        surrogates = {"v": recording("v", surrogate)}
-        bases = set()
-
-        def recorded_basis_matrix(*args):
-            matrix = basis_matrix(*args)
-            bases.add(matrix.ctypes.data)
-            return matrix
-
-        monkeypatch.setattr(metrics_module, "basis_matrix", recorded_basis_matrix)
-        rel_h1_error(recording("u", reference), surrogates, grid, model, n_mc=640, seed=5, chunk=64)
-        assert len(addresses["u"]) == len(addresses["v"]) == len(bases) == 1
+        monkeypatch.setattr(metrics_module, "_CHUNK", 64)
+        rel_h1_error(recording("u", reference), {"v": recording("v", surrogate)}, grid, model, n_mc=640, seed=5)
+        assert len(addresses["u"]) == len(addresses["v"]) == 1
         samples = np.zeros((4, 1))
         assert not np.shares_memory(reference(samples)[0], reference(samples)[0])
 
@@ -330,14 +323,15 @@ class TestRelH1Error:
         monkeypatch.setattr(workers, "count", lambda: n_workers)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
+        monkeypatch.setattr(metrics_module, "_CHUNK", 7)
         try:
-            parallel = rel_h1_error(*args, n_mc=997, seed=4, chunk=7)
+            parallel = rel_h1_error(*args, n_mc=997, seed=4)
         finally:
             sys.setswitchinterval(interval)
         # The one-worker pass runs second, so a row left unwritten above cannot
         # reuse memory that already holds its value.
         monkeypatch.setattr(workers, "count", lambda: 1)
-        assert parallel == rel_h1_error(*args, n_mc=997, seed=4, chunk=7)
+        assert parallel == rel_h1_error(*args, n_mc=997, seed=4)
 
     def test_grid_refinement_stability(self):
         model = field_model("exp1", 1)
@@ -388,6 +382,14 @@ class TestRelH1Error:
         with pytest.raises(ValueError):
             rel_h1_error(zero, {"zero": zero}, grid, model, n_mc=50, seed=0)
 
+    def test_empty_sample_rejected(self):
+        # No realization gives no mean: a loud error, not a NaN report.
+        model = field_model("exp1", 1)
+        grid = uniform_grid_1d(33)
+        reference = exact_exp1_evaluator(grid)
+        with pytest.raises(ValueError, match="n_mc"):
+            rel_h1_error(reference, {"self": reference}, grid, model, n_mc=0, seed=0)
+
 
 class TestEvaluators:
     def test_fem_reference_agrees_with_analytic(self):
@@ -408,7 +410,7 @@ class TestEvaluators:
         max_degree = 5
         model = field_model("exp1", 1)
         basis = total_degree_basis(1, max_degree, PolyFamily.HERMITE)
-        field = make_spectral_field(model, basis)
+        field = SpectralField(model, basis)
         tensor = galerkin_tensor(basis)
         mesh = Mesh1D(512)
         solution = sga_fem_coupled(mesh, field, tensor)
@@ -557,6 +559,7 @@ class TestFemEvaluator:
             return np.full((len(samples), len(grid.points)), 0.01), np.zeros((len(samples), *grid.points.shape))
 
         monkeypatch.setattr(metrics_module, "fem_pathwise", recorded)
+        monkeypatch.setattr(metrics_module, "_CHUNK", 8)
         reports = {}
         for n_workers in (1, 2):
             monkeypatch.setattr(workers, "count", lambda: n_workers)
@@ -570,7 +573,7 @@ class TestFemEvaluator:
                     in_reference.active = False
 
             solves.clear()
-            reports[n_workers] = rel_h1_error(reference, {"v": surrogate}, grid, model, n_mc=24, seed=3, chunk=8)
+            reports[n_workers] = rel_h1_error(reference, {"v": surrogate}, grid, model, n_mc=24, seed=3)
         assert len(solves) == 24 and all(inline for _, inline in solves)
         assert len({thread for thread, _ in solves}) == 2
         assert reports[1] == reports[2]
@@ -590,7 +593,8 @@ class TestFemEvaluator:
         reference = fem_evaluator(model, mesh, grid)
         built = mesh.__dict__[setup]
         monkeypatch.setattr(workers, "count", lambda: 2)
-        report = rel_h1_error(reference, {"self": reference}, grid, model, n_mc=6, seed=0, chunk=3)["self"]
+        monkeypatch.setattr(metrics_module, "_CHUNK", 3)
+        report = rel_h1_error(reference, {"self": reference}, grid, model, n_mc=6, seed=0)["self"]
         assert report.rel_error == 0.0
         assert mesh.__dict__[setup] is built
 
@@ -616,8 +620,7 @@ class TestFemEvaluator:
         def zero(samples):
             return np.zeros((len(samples), len(grid.points))), np.zeros((len(samples), *grid.points.shape))
 
-        report = rel_h1_error(
-            fem_evaluator(model, mesh, grid), {"zero": zero}, grid, model, n_mc=6, seed=0, chunk=3
-        )["zero"]
+        monkeypatch.setattr(metrics_module, "_CHUNK", 3)
+        report = rel_h1_error(fem_evaluator(model, mesh, grid), {"zero": zero}, grid, model, n_mc=6, seed=0)["zero"]
         assert report.rel_error == 1.0
         assert len(calls) == 1

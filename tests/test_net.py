@@ -13,7 +13,7 @@ from scipy.special import expit
 
 from sgnet import net as net_module
 from sgnet import workers
-from sgnet.fields import field_model, make_spectral_field
+from sgnet.fields import SpectralField, field_model
 from sgnet.metrics import midpoint_grid, net_evaluator
 from sgnet.net import (
     BranchSpec,
@@ -372,7 +372,7 @@ class TestTapeReuse:
 
     def test_steady_step_allocates_no_tape(self):
         basis = total_degree_basis(1, 3, PolyFamily.HERMITE)
-        field = make_spectral_field(field_model("exp1", 1), basis)
+        field = SpectralField(field_model("exp1", 1), basis)
         tensor = galerkin_tensor(basis)
         width, n = 16, 256
         net = small_net(widths=(width, width), branches=basis.size)
@@ -398,7 +398,7 @@ class TestTapeReuse:
         # contraction) stay under ten times the record's outputs (5.6 times
         # measured at this shape).
         basis = total_degree_basis(1, 3, PolyFamily.HERMITE)
-        field = make_spectral_field(field_model("exp3", 1), basis)
+        field = SpectralField(field_model("exp3", 1), basis)
         tensor = galerkin_tensor(basis)
         spec = BranchSpec(1, (45,) * 5, ("swish",) * 5 + ("linear",))
         net = MultiBranchNet(spec, n_branches=basis.size, seed=0)
@@ -478,7 +478,7 @@ class TestTapeAcrossShapes:
 
         monkeypatch.setattr(net_module._Tape, "__init__", recording)
         basis = total_degree_basis(1, 3, PolyFamily.HERMITE)
-        field = make_spectral_field(field_model("exp1", 1), basis)
+        field = SpectralField(field_model("exp1", 1), basis)
         config = TrainConfig(
             batch_size=64,
             steps_per_epoch=5,
@@ -592,7 +592,7 @@ class TestEvaluateGrid:
 
     def test_validation_residual_does_not_depend_on_chunks(self, monkeypatch):
         basis = total_degree_basis(2, 1, PolyFamily.LEGENDRE)
-        field = make_spectral_field(field_model("exp2", 2), basis)
+        field = SpectralField(field_model("exp2", 2), basis)
         net = small_net(seed=5, d=2, branches=basis.size)
         expected = validation_error(net, field, n_samples=50, seed=1)
         monkeypatch.setattr(net_module, "_GRID_CHUNK", 100)

@@ -20,10 +20,10 @@ from oracles import (
 from scipy.linalg import solveh_banded
 
 from sgnet.fields import (
+    SpectralField,
     draw_samples,
     exp1_forcing_coeffs,
     field_model,
-    make_spectral_field,
     pathwise_sampler,
 )
 from sgnet import reference as reference_module
@@ -306,7 +306,7 @@ class TestCoupledSolver:
         max_degree = 4
         basis = total_degree_basis(1, max_degree, PolyFamily.HERMITE)
         model = field_model("exp1", 1)
-        field = make_spectral_field(model, basis)
+        field = SpectralField(model, basis)
         tensor = galerkin_tensor(basis)
         mesh = Mesh1D(64)
         solution = sga_fem_coupled(mesh, field, tensor)
@@ -318,7 +318,7 @@ class TestCoupledSolver:
     def test_single_block_reduces_to_pathwise_fem(self):
         basis = total_degree_basis(2, 0, PolyFamily.HERMITE)
         model = field_model("exp3", 2)
-        field = make_spectral_field(model, basis)
+        field = SpectralField(model, basis)
         tensor = galerkin_tensor(basis)
         mesh = Mesh1D(32)
         coupled = sga_fem_coupled(mesh, field, tensor)
@@ -329,7 +329,7 @@ class TestCoupledSolver:
     def test_galerkin_orthogonality(self):
         basis = total_degree_basis(2, 2, PolyFamily.HERMITE)
         model = field_model("exp3", 2)
-        field = make_spectral_field(model, basis)
+        field = SpectralField(model, basis)
         tensor = galerkin_tensor(basis)
         mesh = Mesh1D(48)
         band, load = assemble_coupled_system(mesh, field, tensor)
@@ -341,7 +341,7 @@ class TestCoupledSolver:
     def test_direct_solve_matches_sparse_lu(self):
         # Independent oracle: SuperLU on the assembled system expanded from its band.
         basis = total_degree_basis(2, 2, PolyFamily.HERMITE)
-        field = make_spectral_field(field_model("exp3", 2), basis)
+        field = SpectralField(field_model("exp3", 2), basis)
         tensor = galerkin_tensor(basis)
         mesh = Mesh1D(48)
         band, load = assemble_coupled_system(mesh, field, tensor)
@@ -366,7 +366,7 @@ class TestCoupledSolver:
         # the others use positive affine coefficients on every basis index.
         basis = total_degree_basis(n_dims, degree, family)
         if (n_dims, degree) == (2, 2):
-            field = make_spectral_field(field_model("exp3", 2), basis)
+            field = SpectralField(field_model("exp3", 2), basis)
         else:
             field = AffineField(basis.size, 1, seed=degree)
         tensor = galerkin_tensor(basis)
@@ -408,7 +408,7 @@ class TestCoupledSolver:
         # scatters every entry by fancy indexing from the same element integrals.
         basis = total_degree_basis(n_dims, degree, family)
         if family is PolyFamily.HERMITE:
-            field = make_spectral_field(field_model("exp3", n_dims), basis)
+            field = SpectralField(field_model("exp3", n_dims), basis)
         else:
             field = AffineField(basis.size, 1, seed=degree)
         tensor = galerkin_tensor(basis)
@@ -439,7 +439,7 @@ class TestCoupledSolver:
     def test_block_matrix_is_symmetric_positive_definite(self):
         basis = total_degree_basis(2, 2, PolyFamily.HERMITE)
         model = field_model("exp3", 2)
-        field = make_spectral_field(model, basis)
+        field = SpectralField(model, basis)
         tensor = galerkin_tensor(basis)
         band, _ = assemble_coupled_system(Mesh1D(32), field, tensor)
         smallest = np.linalg.eigvalsh(dense_from_upper_band(band))[0]
@@ -448,7 +448,7 @@ class TestCoupledSolver:
     def test_energy_is_minimal_under_perturbations(self):
         basis = total_degree_basis(2, 2, PolyFamily.HERMITE)
         model = field_model("exp3", 2)
-        field = make_spectral_field(model, basis)
+        field = SpectralField(model, basis)
         tensor = galerkin_tensor(basis)
         mesh = Mesh1D(48)
         band, load = assemble_coupled_system(mesh, field, tensor)
@@ -473,7 +473,7 @@ class TestCoupledSolver:
     def test_energy_is_negative(self):
         basis = total_degree_basis(2, 2, PolyFamily.HERMITE)
         model = field_model("exp3", 2)
-        field = make_spectral_field(model, basis)
+        field = SpectralField(model, basis)
         tensor = galerkin_tensor(basis)
         solution = sga_fem_coupled(Mesh1D(48), field, tensor)
         assert solution.energy < 0.0

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from sgnet import solver as solver_module
-from sgnet.fields import exp1_forcing_coeffs, field_model, make_spectral_field
+from sgnet.fields import SpectralField, exp1_forcing_coeffs, field_model
 from sgnet.net import BranchSpec, MultiBranchNet
 from sgnet.solver import (
     AdamState,
@@ -40,7 +40,7 @@ from oracles import (
 def exp1_setup(max_degree):
     basis = total_degree_basis(1, max_degree, PolyFamily.HERMITE)
     model = field_model("exp1", 1)
-    field = make_spectral_field(model, basis)
+    field = SpectralField(model, basis)
     tensor = galerkin_tensor(basis)
     return basis, model, field, tensor
 
@@ -67,7 +67,7 @@ def risk_setup(case):
         return field, tensor, 1
     if case == "exp3":
         basis = total_degree_basis(2, 3, PolyFamily.HERMITE)
-        return make_spectral_field(field_model("exp3", 2), basis), galerkin_tensor(basis), 1
+        return SpectralField(field_model("exp3", 2), basis), galerkin_tensor(basis), 1
     basis = total_degree_basis(3, 2, PolyFamily.LEGENDRE)
     return AffineField(basis.size, 2, seed=4), galerkin_tensor(basis), 2
 
@@ -88,7 +88,7 @@ class TestStrongRisk:
         forcing = exp1_forcing_coeffs(6)
         net = exp1_exact_net(forcing)
         x = np.linspace(0.05, 0.95, 40)[:, None]
-        risk, _ = strong_risk(x, net, field, tensor, with_grad=False)
+        risk, _ = strong_risk(x, net, field, tensor)
         assert risk < 1e-20
 
     def test_zero_net_risk_is_mean_squared_forcing(self):
@@ -98,7 +98,7 @@ class TestStrongRisk:
         net = MultiBranchNet(spec, n_branches=basis.size, seed=0)
         net.set_params_flat(np.zeros(net.n_params))
         x = np.linspace(0.1, 0.9, 16)[:, None]
-        risk, _ = strong_risk(x, net, field, tensor, with_grad=False)
+        risk, _ = strong_risk(x, net, field, tensor)
         assert risk == pytest.approx(float(np.mean(forcing**2)), rel=1e-13)
 
     @pytest.mark.parametrize(
@@ -124,9 +124,9 @@ class TestStrongRisk:
                 tp[idx] += step
                 tm[idx] -= step
                 net.set_params_flat(tp)
-                rp, _ = fn(x, net, field, tensor, with_grad=False)
+                rp, _ = fn(x, net, field, tensor)
                 net.set_params_flat(tm)
-                rm, _ = fn(x, net, field, tensor, with_grad=False)
+                rm, _ = fn(x, net, field, tensor)
                 net.set_params_flat(theta0)
                 fd = (rp - rm) / (2 * step)
                 assert grad[idx] == pytest.approx(fd, rel=1e-5, abs=1e-9)
@@ -182,8 +182,8 @@ class TestStrongRisk:
         rng = np.random.default_rng(4)
         x = rng.uniform(0.05, 0.95, size=(64, 1))
         perm = rng.permutation(64)
-        r1, _ = strong_risk(x, net, field, tensor, with_grad=False)
-        r2, _ = strong_risk(x[perm], net, field, tensor, with_grad=False)
+        r1, _ = strong_risk(x, net, field, tensor)
+        r2, _ = strong_risk(x[perm], net, field, tensor)
         assert r1 == pytest.approx(r2, rel=1e-13)
 
 
@@ -211,7 +211,7 @@ class TestRitzRisk:
         spec = BranchSpec(1, (4,), ("swish", "linear"))
         net = MultiBranchNet(spec, n_branches=basis.size, seed=1)
         net.set_params_flat(np.zeros(net.n_params))
-        risk, _ = ritz_risk(np.array([[0.3], [0.7]]), net, field, tensor, with_grad=False)
+        risk, _ = ritz_risk(np.array([[0.3], [0.7]]), net, field, tensor)
         assert risk == 0.0
 
     def test_exact_solution_attains_minimum_energy(self):
@@ -223,7 +223,7 @@ class TestRitzRisk:
         net = exp1_exact_net(forcing)
         stream = SobolStream(1, skip=1)
         x = stream.next(10_000)
-        risk, _ = ritz_risk(x, net, field, tensor, with_grad=False)
+        risk, _ = ritz_risk(x, net, field, tensor)
         expected = -float(np.sum(forcing**2)) / 24.0
         assert risk == pytest.approx(expected, rel=2e-4)
 
@@ -244,9 +244,9 @@ class TestRitzRisk:
                 lap=None,
                 n_branches=basis.size,
             )
-        r_plus, _ = ritz_risk(x, scaled[1.0], field, tensor, with_grad=False)
-        r_minus, _ = ritz_risk(x, scaled[-1.0], field, tensor, with_grad=False)
-        r_double, _ = ritz_risk(x, scaled[2.0], field, tensor, with_grad=False)
+        r_plus, _ = ritz_risk(x, scaled[1.0], field, tensor)
+        r_minus, _ = ritz_risk(x, scaled[-1.0], field, tensor)
+        r_double, _ = ritz_risk(x, scaled[2.0], field, tensor)
         quad = 0.5 * (r_plus + r_minus)
         lin = 0.5 * (r_minus - r_plus)
         assert r_double == pytest.approx(4.0 * quad - 2.0 * lin, rel=1e-11, abs=1e-13)
@@ -307,7 +307,7 @@ class TestValidationError:
         # exp2's shape: blocks of 1, 7 or 256 (the default) realizations on
         # the grid of 1,024 points agree with one block.
         model = field_model("exp2", 8)
-        field = make_spectral_field(model, total_degree_basis(8, 1, model.family))
+        field = SpectralField(model, total_degree_basis(8, 1, model.family))
         net = MultiBranchNet(BranchSpec(2, (6, 6), ("swish", "swish", "linear")), n_branches=9, seed=2)
         monkeypatch.setattr(solver_module, "_VALIDATION_BYTES", 8 * 1024 * 300)
         whole = validation_error(net, field, n_samples=300, seed=3)
@@ -322,7 +322,7 @@ class TestValidationError:
         # 2 MiB of residuals: the 1-D grid of 128 points keeps its one block.
         model = field_model(experiment, n_vars)
         basis = total_degree_basis(n_vars, 1, model.family)
-        field = make_spectral_field(model, basis)
+        field = SpectralField(model, basis)
         net = MultiBranchNet(BranchSpec(spatial_dim, (4,), ("swish", "linear")), n_branches=basis.size, seed=0)
         sizes = []
 
@@ -338,11 +338,17 @@ class TestValidationError:
         n_vars = 2
         basis = total_degree_basis(n_vars, 1, PolyFamily.HERMITE)
         model = field_model("exp3", n_vars)
-        weighted = make_spectral_field(model, basis, weighting="a_min_inv")
+        weighted = SpectralField(model, basis, "a_min_inv")
         spec = BranchSpec(1, (4,), ("swish", "linear"))
         net = MultiBranchNet(spec, n_branches=basis.size, seed=0)
         with pytest.raises(ValueError):
             validation_error(net, weighted, n_samples=10)
+
+    def test_empty_sample_rejected(self):
+        basis, _, field, _ = exp1_setup(2)
+        net = MultiBranchNet(BranchSpec(1, (4,), ("swish", "linear")), n_branches=basis.size, seed=0)
+        with pytest.raises(ValueError, match="n_samples"):
+            validation_error(net, field, n_samples=0)
 
 
 class TestSobol:
@@ -369,7 +375,7 @@ class TestSobol:
 
     def test_points_stay_inside_open_box(self):
         stream = SobolStream(2, skip=1)
-        pts = sobol_batch(stream, 4096, [0.0, 0.0], [1.0, 1.0])
+        pts = sobol_batch(stream, 4096)
         assert np.all(pts > 0.0) and np.all(pts < 1.0)
 
     def test_cursor_advances(self):
@@ -378,11 +384,6 @@ class TestSobol:
         second = stream.next(8)
         fresh = SobolStream(1, skip=1)
         np.testing.assert_array_equal(fresh.next(16), np.concatenate([first, second]))
-
-    def test_dimension_mismatch(self):
-        stream = SobolStream(2, skip=1)
-        with pytest.raises(ValueError):
-            sobol_batch(stream, 4, [0.0], [1.0])
 
     def test_training_seed_zero_rejected(self):
         # The seed is the stream's skip, and the origin point is never drawn.
@@ -626,11 +627,11 @@ class TestTraining:
         # residual is that of the original equation: the unweighted field.
         model = field_model("exp3", 1)
         basis = total_degree_basis(1, 2, PolyFamily.HERMITE)
-        weighted = make_spectral_field(model, basis, weighting="a_min_inv")
+        weighted = SpectralField(model, basis, "a_min_inv")
         net = self.make_net(basis, seed=3)
         config = self.small_config(steps_per_epoch=1, max_epochs=1, validation_interval=1, seed_validation=4)
         result = train(net, "ritz", weighted, galerkin_tensor(basis), config)
-        plain = make_spectral_field(model, basis)
+        plain = SpectralField(model, basis)
         expected = validation_error(net, plain, n_samples=config.validation_samples, seed=4)
         assert np.isfinite(expected)
         assert result.history[0]["validation"] == expected

@@ -11,9 +11,10 @@ import warnings
 import numpy as np
 import pytest
 
+from sgnet import metrics as metrics_module
 from sgnet import net as net_module
 from sgnet import workers
-from sgnet.fields import draw_samples, field_model, make_spectral_field
+from sgnet.fields import SpectralField, draw_samples, field_model
 from sgnet.metrics import (
     exact_exp1_evaluator,
     fem_evaluator,
@@ -36,12 +37,12 @@ def worker_results() -> dict[str, object]:
     The nets use one-branch blocks, so that every pass has a block per
     branch for the workers to share.
     """
-    block_bytes = net_module._BLOCK_BYTES
+    block_bytes, chunk = net_module._BLOCK_BYTES, metrics_module._CHUNK
     net_module._BLOCK_BYTES = 1
     try:
         return _worker_results()
     finally:
-        net_module._BLOCK_BYTES = block_bytes
+        net_module._BLOCK_BYTES, metrics_module._CHUNK = block_bytes, chunk
 
 
 def _worker_results() -> dict[str, object]:
@@ -74,7 +75,8 @@ def _worker_results() -> dict[str, object]:
         basis = total_degree_basis(model.n_vars, 2, model.family)
         net = MultiBranchNet(BranchSpec(grid.dim, (7,), ("swish", "linear")), basis.size, seed=4)
         surrogate = net_evaluator(net, basis, grid)
-        report = rel_h1_error(reference, {"net": surrogate}, grid, model, n_mc=n_mc, seed=5, chunk=chunk)["net"]
+        metrics_module._CHUNK = chunk
+        report = rel_h1_error(reference, {"net": surrogate}, grid, model, n_mc=n_mc, seed=5)["net"]
         out[f"rel_h1_error_{model.kind}"] = np.array(
             [report.rel_error, report.numerator, report.denominator, report.mc_standard_error]
         )
@@ -96,7 +98,7 @@ def _worker_results() -> dict[str, object]:
         validation_samples=64,
     )
     for kind in ("strong", "ritz"):  # Ritz training also validates after every step
-        result = train(MultiBranchNet(spec, basis.size, seed=1), kind, make_spectral_field(model, basis), tensor, config)
+        result = train(MultiBranchNet(spec, basis.size, seed=1), kind, SpectralField(model, basis), tensor, config)
         out[f"{kind}_history"] = np.array([[row["risk"], row["validation"]] for row in result.history])
         out[f"{kind}_params"] = result.net.params_flat()
     return out
@@ -238,6 +240,7 @@ class TestPoolLifecycle:
         # Worker 1 takes the second chunk and its surrogate raises; the caller
         # gets the exception, and no report, once worker 0 has finished its chunk.
         monkeypatch.setattr(workers, "count", lambda: 2)
+        monkeypatch.setattr(metrics_module, "_CHUNK", 4)
         model = field_model("exp1", 1)
         grid = uniform_grid_1d(17)
         reference = exact_exp1_evaluator(grid)
@@ -253,7 +256,7 @@ class TestPoolLifecycle:
 
         reports = None
         with pytest.raises(ZeroDivisionError, match="worker 1"):
-            reports = rel_h1_error(reference, {"v": surrogate}, grid, model, n_mc=8, seed=0, chunk=4)
+            reports = rel_h1_error(reference, {"v": surrogate}, grid, model, n_mc=8, seed=0)
         assert finished.is_set()
         assert reports is None
 
