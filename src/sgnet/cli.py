@@ -20,7 +20,7 @@ from typing import Sequence
 
 import yaml
 
-from . import diagnostics
+from . import diagnostics, workers
 from .fields import FieldModel, SpectralField, field_model
 from .metrics import (
     PathwiseEvaluator,
@@ -239,10 +239,12 @@ def load_config(path: str | Path) -> ExperimentConfig:
             **seeds,
             **{key: raw[key] for key in ("experiment", "method", "weighting", "out_dir") if key in raw},
         )
-        spec = config.branch_spec(field_model(config.experiment, 1).spatial_dim)
+        spatial_dim = field_model(config.experiment, 1).spatial_dim
+        spec = config.branch_spec(spatial_dim)
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
     _require_step_fits(config, spec)
+    _require_reference_fits(config, spatial_dim)
     return config
 
 
@@ -272,6 +274,43 @@ def _require_step_fits(config: ExperimentConfig, spec: BranchSpec) -> None:
             )
 
 
+def _require_reference_fits(config: ExperimentConfig, spatial_dim: int) -> None:
+    """Refuse a reference whose banded systems need more than physical memory.
+
+    Every worker's 2-D pathwise solve holds its band of n + 1 rows and the
+    upper-storage copy of its factor at once.  The coupled assembly of each
+    (N, P) holds its band of 2 (M + 1) rows with the (M + 1)^2 blocks it is
+    built from: one per element, diagonal and coupling.  The 1-D pathwise
+    bands are tridiagonal.
+    """
+    physical, n = physical_memory(), _mesh_size(config, spatial_dim)
+    if config.reference == "fem" and spatial_dim == 2:
+        n_dof = (n - 1) ** 2
+        band, copy = 8 * (n + 1) * n_dof, 8 * (n + 1) * (n_dof + n)
+        n_workers = workers.count()
+        needed = n_workers * (band + copy)
+        if needed > physical:
+            raise ConfigError(
+                f"the fem reference on a {n} x {n} mesh needs {needed / 1e9:.3g} GB, more than the "
+                f"{physical / 1e9:.3g} GB of physical memory: a {band / 1e9:.3g} GB band and its "
+                f"{copy / 1e9:.3g} GB factor copy on each of {n_workers} workers"
+            )
+    if config.reference == "coupled":
+        for n_dims, degree in itertools.product(config.n_values, config.p_values):
+            size = basis_dim(n_dims, degree)
+            band, blocks = 8 * 2 * size * (n - 1) * size, 8 * size * size * (n + (n - 1) + (n - 2))
+            if band + blocks > physical:
+                raise ConfigError(
+                    f"the coupled reference with N={n_dims}, P={degree} on a {n}-element mesh needs "
+                    f"{(band + blocks) / 1e9:.3g} GB, more than the {physical / 1e9:.3g} GB of physical memory: "
+                    f"a {band / 1e9:.3g} GB band and {blocks / 1e9:.3g} GB of element, diagonal and coupling blocks"
+                )
+
+
+def _mesh_size(config: ExperimentConfig, spatial_dim: int) -> int:
+    return config.metric.mesh or (512 if spatial_dim == 1 else 64)
+
+
 def _reference(
     config: ExperimentConfig, model: FieldModel, basis, tensor, train_field
 ) -> tuple[SpatialGrid, PathwiseEvaluator]:
@@ -280,7 +319,7 @@ def _reference(
     if reference == "analytic":
         grid = uniform_grid_1d(config.metric.grid_points or 257)
         return grid, exact_exp1_evaluator(grid)
-    mesh_size = config.metric.mesh or (512 if model.spatial_dim == 1 else 64)
+    mesh_size = _mesh_size(config, model.spatial_dim)
     if reference == "fem":
         mesh = Mesh1D(mesh_size) if model.spatial_dim == 1 else Mesh2D(mesh_size)
         grid = midpoint_grid(mesh)

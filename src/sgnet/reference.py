@@ -10,7 +10,8 @@ minimizes the same energy the Ritz-trained network minimizes.
 from __future__ import annotations
 
 import ctypes
-from dataclasses import dataclass
+import threading
+from dataclasses import dataclass, field as dc_field
 from functools import cached_property
 
 import numpy as np
@@ -84,6 +85,10 @@ class Mesh2D:
     """Uniform n x n quadrilateral grid of [0, 1]^2 with bilinear elements."""
 
     n: int
+    # Each thread's buffer for the upper-storage copy of the factor, reused by its next solve on
+    # the mesh.  A copy allocated per solve, next to the band, makes malloc hand the heap's top
+    # back to the system after every solve and fault it in again (1.7k faults a solve at mesh 64).
+    _factor_copies: threading.local = dc_field(default_factory=threading.local, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.n < 2:
@@ -105,8 +110,9 @@ class Mesh2D:
 
     @cached_property
     def _scatter(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Flat (element, i, j) entries of the element matrices that enter the upper band, their
-        slots in the column-major (n + 1, n_dof) band, and the global node of every (element, i).
+        """Flat (element, i, j) entries of the element matrices that enter the lower band, their
+        slots in the column-major (n + 1, n_dof) band ``band[i - j, j]``, and the global node of
+        every (element, i).
 
         Interior nodes are numbered row-major, so the interior stiffness has half-bandwidth n.
         """
@@ -119,8 +125,8 @@ class Mesh2D:
         node_dof[1:-1, 1:-1] = np.arange(n_dof).reshape(n - 1, n - 1)
         dofs = node_dof.ravel()[local_nodes]
         rows, cols = dofs[:, :, None], dofs[:, None, :]
-        keep = (rows >= 0) & (rows <= cols)  # boundary dofs are -1
-        slots = (cols * (n + 1) + n + rows - cols)[keep]
+        keep = (cols >= 0) & (rows >= cols)  # boundary dofs are -1
+        slots = (cols * (n + 1) + rows - cols)[keep]
         return np.flatnonzero(keep), slots, local_nodes.ravel()
 
 
@@ -170,9 +176,18 @@ def _lapack(name: str, *arguments: str) -> ctypes._CFuncPtr:
     return ctypes.CFUNCTYPE(None, *(_ARGUMENT_TYPES[a] for a in arguments))(_capsule_pointer(capsule, found))
 
 
-# dpbsv(uplo, n, kd, nrhs, ab, ldab, b, ldb, info) and dptsv(n, nrhs, d, e, b, ldb, info)
+# dpbsv and dpbtrs(uplo, n, kd, nrhs, ab, ldab, b, ldb, info), dpbtrf(uplo, n, kd, ab, ldab, info)
+# and dptsv(n, nrhs, d, e, b, ldb, info)
 _dpbsv = _lapack("dpbsv", "char *", "int *", "int *", "int *", _DOUBLE, "int *", _DOUBLE, "int *", "int *")
+_dpbtrs = _lapack("dpbtrs", "char *", "int *", "int *", "int *", _DOUBLE, "int *", _DOUBLE, "int *", "int *")
+_dpbtrf = _lapack("dpbtrf", "char *", "int *", "int *", _DOUBLE, "int *", "int *")
 _dptsv = _lapack("dptsv", "int *", "int *", _DOUBLE, _DOUBLE, _DOUBLE, "int *", "int *")
+
+
+def _not_positive_definite(info: int) -> FieldPositivityError:
+    return FieldPositivityError(
+        f"the discrete operator is not positive definite: {info}th leading minor not positive definite"
+    )
 
 
 def _solve_spd_banded(band: np.ndarray, rhs: np.ndarray, check_finite: bool = True) -> np.ndarray:
@@ -203,8 +218,35 @@ def _solve_spd_banded(band: np.ndarray, rhs: np.ndarray, check_finite: bool = Tr
         top = band.ctypes.data + (rows - kept) * band.itemsize
         _dpbsv(b"U", size, ctypes.c_int(kept - 1), one, top, ctypes.c_int(rows), solution.ctypes.data, size, info)
     if info.value > 0:  # the checks above leave LAPACK no illegal argument to report
-        message = f"the discrete operator is not positive definite: {info.value}th leading minor not positive definite"
-        raise FieldPositivityError(message)
+        raise _not_positive_definite(info.value)
+    return solution
+
+
+def _solve_spd_lower_band(band: np.ndarray, rhs: np.ndarray, upper: np.ndarray) -> np.ndarray:
+    """Cholesky solve of a symmetric positive definite system in lower band storage.
+
+    ``band[i - j, j] = A[i, j]`` for ``i >= j``, column-major, overwritten by
+    its factor.  ``dpbtrf`` factors it in lower storage, since in upper storage
+    its unblocked path (half-bandwidth kd <= 64) makes one strided rank-one
+    update per column, which OpenBLAS runs one thread at a time.  Up to kd = 64
+    both storages give the same factor; it is copied into ``upper``, a flat
+    buffer of at least (kd + 1) (n + kd) values, and solved there by
+    ``dpbtrs``, so the solution is ``dpbsv``'s bit for bit.  A matrix that is
+    not positive definite raises ``FieldPositivityError``.
+    """
+    rows, n = band.shape
+    kd = min(rows, n) - 1  # an n x n matrix has no offsets of n or more
+    if upper.dtype != np.float64 or upper.ndim != 1 or upper.size < (kd + 1) * (n + kd):
+        raise ValueError(f"need a flat float64 buffer of {(kd + 1) * (n + kd)} values for the factor's copy")
+    size, bandwidth, one, info = ctypes.c_int(n), ctypes.c_int(kd), ctypes.c_int(1), ctypes.c_int(0)
+    _dpbtrf(b"L", size, bandwidth, band.ctypes.data, ctypes.c_int(rows), info)
+    if info.value > 0:
+        raise _not_positive_definite(info.value)
+    # upper[kd - r, j + r] = band[r, j], that is flat index kd + r kd + j (kd + 1); the entries
+    # of the last columns' rows r >= n - j fall into kd columns of padding.
+    np.lib.stride_tricks.as_strided(upper[kd:], (kd + 1, n), (8 * kd, 8 * (kd + 1)))[...] = band[: kd + 1]
+    solution = np.array(rhs, dtype=np.float64)
+    _dpbtrs(b"U", size, bandwidth, one, upper.ctypes.data, ctypes.c_int(kd + 1), solution.ctypes.data, size, info)
     return solution
 
 
@@ -228,7 +270,7 @@ def _fem_1d(mesh: Mesh1D, a_q: np.ndarray, f_q: np.ndarray) -> np.ndarray:
 def _fem_2d(mesh: Mesh2D, a_q: np.ndarray, f_q: np.ndarray) -> np.ndarray:
     """Bilinear-element solve on the unit square; returns nodal values, shape (n+1, n+1).
 
-    Element matrices are summed straight into the band of the interior stiffness.
+    Element matrices are summed straight into the lower band of the interior stiffness.
     """
     n, h, stride = mesh.n, mesh.h, mesh.n + 1
     kept, slots, nodes = mesh._scatter
@@ -239,9 +281,13 @@ def _fem_2d(mesh: Mesh2D, a_q: np.ndarray, f_q: np.ndarray) -> np.ndarray:
     band = np.bincount(slots, weights=k_local.reshape(-1)[kept], minlength=(n + 1) * n_dof).reshape(n_dof, n + 1).T
     rhs = np.bincount(nodes, weights=f_local.ravel(), minlength=stride**2)
 
+    copies = mesh._factor_copies
+    if not hasattr(copies, "upper"):
+        copies.upper = np.empty((n + 1) * (n_dof + n))
+
     solution = np.zeros((stride, stride))
-    solution[1:-1, 1:-1] = _solve_spd_banded(
-        band, rhs.reshape(stride, stride)[1:-1, 1:-1].ravel(), check_finite=False
+    solution[1:-1, 1:-1] = _solve_spd_lower_band(
+        band, rhs.reshape(stride, stride)[1:-1, 1:-1].ravel(), copies.upper
     ).reshape(n - 1, n - 1)
     return solution
 

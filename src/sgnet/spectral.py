@@ -213,9 +213,12 @@ class OrderedBasis:
         """Number of basis polynomials, M + 1."""
         return len(self.indices)
 
-    @property
+    @cached_property
     def index_array(self) -> np.ndarray:
-        return np.asarray(self.indices, dtype=np.int64)
+        """The multi-indices as a read-only (M + 1, N) int64 array, built once per basis."""
+        array = np.asarray(self.indices, dtype=np.int64)
+        array.flags.writeable = False
+        return array
 
 
 def total_degree_basis(n_dims: int, max_degree: int, family: PolyFamily) -> OrderedBasis:

@@ -293,15 +293,42 @@ def dense_from_upper_band(band: np.ndarray) -> np.ndarray:
     return dense
 
 
+def dense_from_lower_band(band: np.ndarray) -> np.ndarray:
+    """Symmetric dense matrix of LAPACK lower band storage, entry by entry.
+
+    ``band[i - j, j] = A[i, j]`` for ``j <= i <= j + bw``, where the band has
+    ``bw + 1`` rows; every other lower entry is zero.
+    """
+    bandwidth = band.shape[0] - 1
+    n = band.shape[1]
+    dense = np.zeros((n, n))
+    for j in range(n):
+        for i in range(j, min(n, j + bandwidth + 1)):
+            dense[i, j] = dense[j, i] = band[i - j, j]
+    return dense
+
+
 def dense_q1_solve(n: int, a, f) -> np.ndarray:
     """Bilinear FEM solution of -div(a grad u) = f, u = 0 on the boundary of the unit square.
+
+    The interior system of :func:`dense_q1_system` is solved densely.
+    Returns nodal values u[ix, iy] at (ix h, iy h).
+    """
+    stiffness, load = dense_q1_system(n, a, f)
+    solution = np.zeros((n + 1, n + 1))
+    solution[1:-1, 1:-1] = np.linalg.solve(stiffness, load).reshape(n - 1, n - 1)
+    return solution
+
+
+def dense_q1_system(n: int, a, f) -> tuple[np.ndarray, np.ndarray]:
+    """Dense interior stiffness and load of the bilinear FEM for -div(a grad u) = f on the unit square.
 
     The n x n grid's element matrices are formed one element at a time with
     numpy's own 2 x 2 Gauss-Legendre rule and the corner hat functions in
     physical coordinates, summed into the dense matrix of all (n + 1)^2
-    nodes, and the interior block is solved densely.  ``a`` and ``f`` map
-    points of shape (m, 2) to values (m,).  Returns nodal values u[ix, iy] at
-    (ix h, iy h).
+    nodes, and the block of the interior nodes, numbered row-major over
+    (ix, iy), is returned with its load.  ``a`` and ``f`` map points of shape
+    (m, 2) to values (m,).
     """
     h = 1.0 / n
     gauss, weights = np.polynomial.legendre.leggauss(2)
@@ -328,9 +355,7 @@ def dense_q1_solve(n: int, a, f) -> np.ndarray:
                         for q, (qx, qy, _, _) in enumerate(corners):
                             stiffness[px * (n + 1) + py, qx * (n + 1) + qy] += weight * a_q * grads[p] @ grads[q]
     interior = [ix * (n + 1) + iy for ix in range(1, n) for iy in range(1, n)]
-    solution = np.zeros(nodes)
-    solution[interior] = np.linalg.solve(stiffness[np.ix_(interior, interior)], load[interior])
-    return solution.reshape(n + 1, n + 1)
+    return stiffness[np.ix_(interior, interior)], load[interior]
 
 
 def nodal_interpolant(nodal: np.ndarray, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

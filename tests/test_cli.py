@@ -354,6 +354,47 @@ class TestRunner:
         assert f"network tape of {tape / 1e9:.3g} GB" in err and "stored nonzeros" not in err
         assert not (tmp_path / "out" / "results.csv").exists()
 
+    def test_a_2d_fem_reference_that_cannot_fit_is_refused(self, tmp_path, capsys, monkeypatch):
+        # exp2 on a 1024 x 1024 mesh: each of two workers holds an 8.58 GB
+        # band (1,025 rows, 1,023^2 unknowns) and its factor's copy.
+        path = write_config(
+            tmp_path / "c.yaml", experiment="exp2", N=2, P=1, metric={"n_mc": 60, "mesh": 1024}
+        )
+        band, copy = 8 * 1025 * 1023**2, 8 * 1025 * (1023**2 + 1024)
+        monkeypatch.setattr(sgnet.cli.workers, "count", lambda: 2)
+        monkeypatch.setattr(sgnet.cli, "physical_memory", lambda: 2 * (band + copy) - 1)
+        assert main(["run", str(path)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "1024 x 1024 mesh" in err and f"{2 * (band + copy) / 1e9:.3g} GB" in err
+        assert f"a {band / 1e9:.3g} GB band" in err and "8.58 GB band" in err and "2 workers" in err
+        assert len(err.strip().splitlines()) == 1
+        assert not (tmp_path / "out" / "results.csv").exists()
+        monkeypatch.setattr(sgnet.cli, "physical_memory", lambda: 2 * (band + copy))
+        assert load_config(path).metric.mesh == 1024
+
+    def test_a_coupled_reference_that_cannot_fit_is_refused(self, tmp_path, capsys, monkeypatch):
+        # exp3 at N=10, P=4 has 1,001 coefficients; on a 512-element mesh the
+        # coupled band has 2,002 rows and 511 x 1,001 columns, 8.19 GB, and it
+        # is built from 512 + 511 + 510 blocks of 1,001^2 values, 12.3 GB.
+        path = write_config(
+            tmp_path / "c.yaml",
+            experiment="exp3",
+            N=10,
+            P=4,
+            method="ritz",
+            metric={"n_mc": 60, "reference": "coupled", "mesh": 512},
+        )
+        band, blocks = 8 * 2002 * 511 * 1001, 8 * 1533 * 1001**2
+        monkeypatch.setattr(sgnet.cli, "physical_memory", lambda: band + blocks - 1)
+        assert main(["run", str(path)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "N=10, P=4 on a 512-element mesh" in err and f"{(band + blocks) / 1e9:.3g} GB" in err
+        assert "8.19 GB band" in err and "12.3 GB of element, diagonal and coupling blocks" in err
+        assert len(err.strip().splitlines()) == 1
+        assert not (tmp_path / "out" / "results.csv").exists()
+        monkeypatch.setattr(sgnet.cli, "physical_memory", lambda: band + blocks)
+        assert load_config(path).n_values == (10,)
+
     def test_each_sample_reaches_the_reference_once(self, tmp_path, monkeypatch):
         # Both methods of an (N, P) entry are measured in one Monte Carlo pass:
         # the entry's reference sees every sample exactly once.

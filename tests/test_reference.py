@@ -11,8 +11,10 @@ import pytest
 import scipy.sparse.linalg
 from oracles import (
     AffineField,
+    dense_from_lower_band,
     dense_from_upper_band,
     dense_q1_solve,
+    dense_q1_system,
     dense_triple_tensor,
     exp1_exact,
     scattered_coupled_band,
@@ -33,6 +35,7 @@ from sgnet.reference import (
     Mesh1D,
     Mesh2D,
     _solve_spd_banded,
+    _solve_spd_lower_band,
     assemble_coupled_system,
     fem_pathwise,
     sga_fem_coupled,
@@ -77,6 +80,39 @@ def random_spd_band(rows: int, n: int, seed: int) -> np.ndarray:
     band = rng.uniform(-1.0, 1.0, size=(rows, n))
     band[-1] = 2.0 * rows + rng.uniform(size=n)
     return np.asfortranarray(band)
+
+
+def lower_band(upper: np.ndarray) -> np.ndarray:
+    """Column-major lower band of the matrix whose upper band is ``upper``: lower[r, j] = upper[kd - r, j + r]."""
+    kd, n = upper.shape[0] - 1, upper.shape[1]
+    lower = np.zeros(upper.shape, order="F")
+    for r in range(min(kd + 1, n)):
+        lower[r, : n - r] = upper[kd - r, r:]
+    return lower
+
+
+def factor_copy(band: np.ndarray) -> np.ndarray:
+    """Scratch for the upper-storage copy of the factor of ``band``, large enough for any trim."""
+    rows, n = band.shape
+    return np.empty(rows * (n + rows - 1))
+
+
+def banded_solve():
+    band, rhs = random_spd_band(201, 30_000, seed=3), np.ones(30_000)
+    return lambda: _solve_spd_banded(band, rhs, check_finite=False)
+
+
+def mesh64_pathwise_solves():
+    # About as long as the banded solve: 25 solves of exp2's default mesh.
+    mesh = Mesh2D(64)
+    a_q, f_q = pathwise_sampler(field_model("exp2", 8), mesh.quad_points)(np.full(8, 0.5))
+    fem_pathwise(mesh, a_q, f_q)  # sets up the mesh's scatter
+
+    def solves():
+        for _ in range(25):
+            fem_pathwise(mesh, a_q, f_q)
+
+    return solves
 
 
 class TestBandedSolve:
@@ -135,11 +171,12 @@ class TestBandedSolve:
         with pytest.raises(ImportError, match="dpbsv has the signature"):
             reference_module._lapack("dpbsv", "int64_t *")
 
-    def test_another_thread_runs_during_the_solve(self):
+    @pytest.mark.parametrize("make_solve", [banded_solve, mesh64_pathwise_solves], ids=["banded", "mesh64"])
+    def test_another_thread_runs_during_the_solve(self, make_solve):
         # A thread that wakes every millisecond keeps waking while the solve
         # is inside LAPACK; were the interpreter lock held, it would stall
         # for the whole factorization.
-        band, rhs = random_spd_band(201, 30_000, seed=3), np.ones(30_000)
+        solve = make_solve()
         stamps, stop = [], threading.Event()
 
         def tick():
@@ -152,7 +189,7 @@ class TestBandedSolve:
         try:
             time.sleep(0.05)
             start = time.perf_counter()
-            _solve_spd_banded(band, rhs, check_finite=False)
+            solve()
             end = time.perf_counter()
         finally:
             stop.set()
@@ -162,6 +199,75 @@ class TestBandedSolve:
         longest_gap = max(np.diff(during))
         assert end - start > 0.02, "the solve was too short to show a stall"
         assert longest_gap < 0.25 * (end - start), (longest_gap, end - start)
+
+
+class TestLowerBandSolve:
+    """The 2-D pathwise solve: factored in lower band storage, solved with the factor's upper-storage copy."""
+
+    @pytest.mark.parametrize("kd", [2, 8, 64])
+    def test_matches_scipy_on_the_upper_band_bit_for_bit(self, kd):
+        # Up to kd = 64 LAPACK factors unblocked, and the lower factor is the upper one's numbers.
+        upper = random_spd_band(kd + 1, 500, seed=kd)
+        rhs = np.random.default_rng(kd + 1).normal(size=500)
+        expected = solveh_banded(np.ascontiguousarray(upper), rhs)
+        got = _solve_spd_lower_band(lower_band(upper), rhs, factor_copy(upper))
+        np.testing.assert_array_equal(got, expected)
+
+    @pytest.mark.parametrize("rows, n", [(3, 1), (5, 3), (65, 10)])
+    def test_band_with_more_rows_than_unknowns(self, rows, n):
+        # Offsets of n or more do not exist in an n x n matrix; the band's rows below them are not read.
+        upper = random_spd_band(rows, n, seed=n)
+        lower = lower_band(upper)
+        lower[n:] = np.nan
+        rhs = np.random.default_rng(n).normal(size=n)
+        got = _solve_spd_lower_band(lower, rhs, factor_copy(upper))
+        np.testing.assert_array_equal(got, solveh_banded(np.ascontiguousarray(upper[-n:]), rhs))
+
+    @pytest.mark.parametrize("n", [3, 5])
+    def test_mesh_band_is_the_dense_q1_stiffness(self, monkeypatch, n):
+        # The band that fem_pathwise hands to the solver, expanded entry by
+        # entry, against an element-by-element dense assembly.
+        bands = []
+        solve = reference_module._solve_spd_lower_band
+
+        def spy(band, rhs, upper):
+            bands.append(band.copy())
+            return solve(band, rhs, upper)
+
+        monkeypatch.setattr(reference_module, "_solve_spd_lower_band", spy)
+        a = lambda p: 1.0 + p[:, 0] + 2.0 * p[:, 1] ** 2 + 0.5 * np.sin(7.0 * p[:, 0] * p[:, 1])
+        one = lambda p: np.ones(len(p))
+        mesh = Mesh2D(n)
+        fem_pathwise(mesh, a(mesh.quad_points), one(mesh.quad_points))
+        (band,) = bands
+        assert band.shape == (n + 1, (n - 1) ** 2)
+        stiffness, _ = dense_q1_system(n, a, one)
+        np.testing.assert_allclose(dense_from_lower_band(band), stiffness, rtol=0.0, atol=1e-14 * np.abs(stiffness).max())
+
+    def test_indefinite_band_is_refused(self):
+        # The band shape of Mesh2D(6): 7 rows, 25 unknowns.
+        upper = random_spd_band(7, 25, seed=6)
+        upper[-1, 11] = -1.0
+        with pytest.raises(FieldPositivityError, match="12th leading minor not positive definite"):
+            _solve_spd_lower_band(lower_band(upper), np.ones(25), factor_copy(upper))
+
+    def test_short_copy_buffer_is_refused(self):
+        upper = random_spd_band(7, 25, seed=7)
+        with pytest.raises(ValueError, match="buffer of 217 values"):
+            _solve_spd_lower_band(lower_band(upper), np.ones(25), np.empty(216))
+
+    def test_each_thread_keeps_its_own_copy_buffer(self):
+        mesh = Mesh2D(4)
+        a_q = np.ones(len(mesh.quad_points))
+        fem_pathwise(mesh, a_q, a_q)
+        mine = mesh._factor_copies.upper
+        fem_pathwise(mesh, a_q, a_q)
+        assert mesh._factor_copies.upper is mine
+        theirs = []
+        thread = threading.Thread(target=lambda: (fem_pathwise(mesh, a_q, a_q), theirs.append(mesh._factor_copies.upper)))
+        thread.start()
+        thread.join()
+        assert theirs[0] is not mine and theirs[0].size == mine.size
 
 
 class TestFem1D:

@@ -105,6 +105,14 @@ class TestIndices:
         for a, b in zip(indices[:-1], indices[1:]):
             assert graded_lex_less(a, b)
 
+    def test_index_array_is_built_once_and_read_only(self):
+        basis = total_degree_basis(6, 4, PolyFamily.HERMITE)
+        first = basis.index_array
+        assert basis.index_array is first
+        assert not first.flags.writeable
+        assert first.dtype == np.int64
+        np.testing.assert_array_equal(first, np.asarray(basis.indices))
+
 
 class TestGradedLexOrder:
     def test_examples(self):
